@@ -13,7 +13,8 @@ Two questions, one row each in ``BENCH_core.json``:
 * ``fabric_adaptive_e1`` vs ``fabric_fixed_grid_e1`` — what does
   convergence-based early stopping save?  The same three E1 cells swept with
   a fixed 16-seeds-per-cell grid and with :func:`repro.fabric.adaptive_sweep`
-  (stop a cell when the 95% CI half-width on ``convergence_time`` is within
+  (stop a cell when the 95% CI half-width on the ◇HP convergence time,
+  ``diamond_hp_time``, is within
   10% of its mean).  The adaptive row records ``total_runs`` /
   ``fixed_grid_runs`` / ``runs_saved`` into the baseline, so "early stopping
   demonstrably saves work" is a committed number, not a claim.
@@ -21,7 +22,7 @@ Two questions, one row each in ``BENCH_core.json``:
 
 import tempfile
 
-from repro.experiments.e1_ohp_convergence import _run_one as run_one_e1
+from repro.experiments.e1_ohp_convergence import make_spec as e1_spec
 from repro.fabric import adaptive_sweep, plan_experiments
 from repro.fabric.coordinator import Coordinator
 from repro.runtime import Engine
@@ -41,7 +42,7 @@ def _fabric_quick_e1(plan):
     with tempfile.TemporaryDirectory(prefix="bench-fabric-") as state_dir:
         result = Coordinator(plan, state_dir=state_dir, workers=3).run()
     assert len(result.results) == E1_QUICK_RUNS
-    assert result.digests_complete
+    assert all(row["digest"] for row in result.rows)
     return result
 
 
@@ -62,16 +63,16 @@ def _fixed_grid():
         for index, cell in enumerate(CELLS)
         for k in range(MAX_SEEDS)
     ]
-    rows = Engine().sweep(run_one_e1, configs)
+    rows = Engine().run_sweep(e1_spec, configs)
     assert len(rows) == len(CELLS) * MAX_SEEDS
     return rows
 
 
 def _adaptive():
     report = adaptive_sweep(
-        run_one_e1,
+        e1_spec,
         CELLS,
-        metric="convergence_time",
+        metric="diamond_hp_time",
         max_seeds_per_cell=MAX_SEEDS,
         rel_tol=0.10,
     )

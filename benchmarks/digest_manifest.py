@@ -1,35 +1,31 @@
 """Determinism-digest manifest over the quick deterministic experiments (E1–E12).
 
-Runs every experiment in quick mode while capturing the determinism digest of
-each underlying simulation, then prints one folded 64-bit digest per
-experiment plus two manifest digests: ``ALL`` folds the historical E1–E9
-core (frozen so manifests saved before the KV workload landed keep
-matching), and ``FULL`` folds every registered deterministic experiment
-(E10, E12, and whatever lands next fold in here without moving ``ALL``).
+Runs every experiment in quick mode and folds the determinism digests of its
+run records into one 64-bit digest per experiment, plus two manifest digests:
+``ALL`` folds the historical E1–E9 core (frozen so manifests saved before the
+KV workload landed keep matching), and ``FULL`` folds every registered
+deterministic experiment (E10, E12, and whatever lands next fold in here
+without moving ``ALL``).
 
 Two builds of the simulator that print the same manifest dispatched exactly
 the same events, in the same order, for every run of every quick experiment —
 which is the equivalence gate hot-path refactors must pass.  The same gate
-covers the execution stack: ``--jobs``/``--pool`` route the sweeps through
-the warm (persistent) or cold (per-call) process pool, and the manifest must
+covers the execution stack: ``--jobs`` routes the sweeps through the warm
+process pool and ``--fabric`` through the sweep fabric, and the manifest must
 be bit-identical to the serial one::
 
     PYTHONPATH=src python benchmarks/digest_manifest.py            # serial
     PYTHONPATH=src python benchmarks/digest_manifest.py -o m.json  # save JSON
-    PYTHONPATH=src python benchmarks/digest_manifest.py --jobs 4 --pool warm --check m.json
-    PYTHONPATH=src python benchmarks/digest_manifest.py --jobs 4 --pool cold --check m.json
-    PYTHONPATH=src python benchmarks/digest_manifest.py --fabric 3 --check m.json
+    PYTHONPATH=src python benchmarks/digest_manifest.py --jobs 2 --check m.json
+    PYTHONPATH=src python benchmarks/digest_manifest.py --fabric 2 --check m.json
 
 ``--check`` exits non-zero on any mismatch against a previously saved
 manifest, so a refactor branch can assert equivalence mechanically.
 
-Capture mechanics: serially, ``Simulation.run`` is wrapped in-process (the
-historical mechanism, so manifests stay comparable across PRs).  Through a
-pool, a parent-side wrap never reaches the ``spawn``-started workers, so the
-dispatched function is wrapped with
-:func:`repro.runtime.run_with_digest_capture` instead — each worker returns
-its runs' digests alongside the result and they are folded in input order,
-which equals the serial execution order.
+Every run is a spec and every :class:`~repro.runtime.engine.RunRecord`
+carries its run's digest, so capture is the engine's ``progress`` hook (the
+records arrive in input order, serially or from the pool) or, for the
+fabric, the journaled records folded per experiment span.
 """
 
 from __future__ import annotations
@@ -38,87 +34,24 @@ import argparse
 import json
 import sys
 
-import repro.sim.scheduler as scheduler_module
 from repro.fabric.digests import CORE_EXPERIMENTS, fold_digests as _fold, fold_named as _fold_named
-from repro.runtime import Engine, executor_for, run_with_digest_capture
+from repro.runtime import Engine
 from repro.runtime.registry import EXPERIMENTS
-# Only ALL_EXPERIMENTS (the deterministic E1-E10) is folded: wall-clock
+# Only ALL_EXPERIMENTS (the deterministic E1-E12) is folded: wall-clock
 # experiments (E11's real backend) are registered too but have no stable
 # digest, so the manifests iterate this dict, not EXPERIMENTS.names().
 from repro.experiments import ALL_EXPERIMENTS
 
 
-class _DigestCapturingExecutor:
-    """Wrap an executor so worker-side digests land in ``sink``, in input order."""
-
-    def __init__(self, inner, sink: list[int]) -> None:
-        self._inner = inner
-        self._sink = sink
-        self.jobs = inner.jobs
-
-    def imap(self, fn, items):
-        tasks = [(fn, item) for item in items]
-        inner_imap = getattr(self._inner, "imap", None)
-        if inner_imap is not None:
-            pairs = inner_imap(run_with_digest_capture, tasks)
-        else:
-            pairs = iter(self._inner.map(run_with_digest_capture, tasks))
-        for result, digests in pairs:
-            self._sink.extend(digests)
-            yield result
-
-    def map(self, fn, items):
-        return list(self.imap(fn, items))
-
-    def close(self) -> None:
-        closer = getattr(self._inner, "close", None)
-        if closer is not None:
-            closer()
-
-
-def _collect_serial(seed: int) -> dict[str, str]:
-    """The historical in-process capture (comparable across PR manifests)."""
+def _collect_engine(seed: int, jobs: int | None) -> dict[str, str]:
+    """Fold each experiment's record digests, serially or through a warm pool."""
     manifest: dict[str, str] = {}
-    original_run = scheduler_module.Simulation.run
-    captured: list[int] = []
-
-    def capturing_run(self, **kwargs):
-        trace = original_run(self, **kwargs)
-        captured.append(self.queue.digest)
-        return trace
-
-    scheduler_module.Simulation.run = capturing_run
-    try:
+    digests: list[int] = []
+    with Engine(jobs=jobs, progress=lambda record: digests.append(int(record["digest"], 16))) as engine:
         for name in ALL_EXPERIMENTS:
-            captured.clear()
-            runner = EXPERIMENTS.resolve(name)
-            runner(quick=True, seed=seed, engine=Engine())
-            manifest[name] = f"{_fold(captured):016x}"
-    finally:
-        scheduler_module.Simulation.run = original_run
-    return manifest
-
-
-def _collect_pooled(seed: int, jobs: int, pool: str) -> dict[str, str]:
-    """Capture through a warm or cold process pool (digests travel with results)."""
-    manifest: dict[str, str] = {}
-    sink: list[int] = []
-    executor = _DigestCapturingExecutor(executor_for(jobs, pool=pool), sink)
-    try:
-        for name in ALL_EXPERIMENTS:
-            sink.clear()
-            runner = EXPERIMENTS.resolve(name)
-            # Any simulation an experiment might run in the parent process —
-            # outside engine dispatch — lands in the same sink, in call order.
-            previous = scheduler_module.DIGEST_SINK
-            scheduler_module.DIGEST_SINK = sink
-            try:
-                runner(quick=True, seed=seed, engine=Engine(executor))
-            finally:
-                scheduler_module.DIGEST_SINK = previous
-            manifest[name] = f"{_fold(sink):016x}"
-    finally:
-        executor.close()
+            digests.clear()
+            EXPERIMENTS.resolve(name)(quick=True, seed=seed, engine=engine)
+            manifest[name] = f"{_fold(digests):016x}"
     return manifest
 
 
@@ -128,8 +61,8 @@ def _collect_fabric(seed: int, workers: int) -> dict[str, str]:
     ``repro.fabric`` plans every deterministic experiment, a coordinator fans
     the items out to worker subprocesses (in a throwaway state directory, no
     cache — every digest must come from a fresh execution), and the journaled
-    digests are folded per experiment span.  The result must be bit-identical
-    to :func:`_collect_serial`.
+    records' digests are folded per experiment span.  The result must be
+    bit-identical to :func:`_collect_engine`.
     """
     import tempfile
 
@@ -139,25 +72,17 @@ def _collect_fabric(seed: int, workers: int) -> dict[str, str]:
     plan = plan_experiments(list(ALL_EXPERIMENTS), quick=True, seed=seed)
     with tempfile.TemporaryDirectory(prefix="digest-fabric-") as state_dir:
         result = Coordinator(plan, state_dir=state_dir, workers=workers).run()
-    if not result.digests_complete:
-        raise RuntimeError("fabric run returned results without digest records")
     return result.experiment_digests()
 
 
 def collect_manifest(
-    seed: int = 0,
-    *,
-    jobs: int | None = None,
-    pool: str = "warm",
-    fabric: int | None = None,
+    seed: int = 0, *, jobs: int | None = None, fabric: int | None = None
 ) -> dict[str, str]:
     """Run every experiment quick and return ``{experiment: folded digest}``."""
     if fabric is not None:
         manifest = _collect_fabric(seed, fabric)
-    elif jobs is not None and jobs > 1:
-        manifest = _collect_pooled(seed, jobs, pool)
     else:
-        manifest = _collect_serial(seed)
+        manifest = _collect_engine(seed, jobs)
     experiment_names = list(manifest)
     core = [name for name in experiment_names if name in CORE_EXPERIMENTS]
     manifest["ALL"] = _fold_named(manifest, core)
@@ -173,14 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="run the sweeps through a process pool of N workers "
+        help="run the sweeps through a warm process pool of N workers "
         "(default: serial, in-process)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("warm", "cold"),
-        default="warm",
-        help="pool mode for --jobs > 1 (default: warm)",
     )
     parser.add_argument(
         "--fabric",
@@ -197,9 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    manifest = collect_manifest(
-        seed=args.seed, jobs=args.jobs, pool=args.pool, fabric=args.fabric
-    )
+    manifest = collect_manifest(seed=args.seed, jobs=args.jobs, fabric=args.fabric)
     for name, digest in manifest.items():
         print(f"{name:>4}  {digest}")
 

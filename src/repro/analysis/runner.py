@@ -129,7 +129,7 @@ class ParameterSweep:
         The configuration (minus the bookkeeping ``repetition`` field) is
         merged into each result row so downstream aggregation can group on it.
         ``executor`` (any object with ``map(fn, items) -> list``, e.g. a
-        :class:`repro.runtime.ParallelExecutor`) fans the configurations out;
+        :class:`repro.runtime.WorkerPool`) fans the configurations out;
         rows always come back in sweep order.
         """
         configs = [dict(config) for config in self]

@@ -151,11 +151,9 @@ def mutilate_journal(
                 json.dumps(
                     {
                         "index": 0,
-                        "key": "row-0000000000000000",  # matches no plan item
+                        "key": "rec-0000000000000000",  # matches no plan item
                         "row": {},
-                        "digests": [],
                         "source": "fresh",
-                        "digests_complete": True,
                     }
                 )
                 + "\n"

@@ -44,8 +44,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..analysis.runner import ParameterSweep
+from ..experiments.e1_ohp_convergence import make_spec as e1_spec
 from ..fabric.coordinator import Coordinator, FabricResult, SimulatedCrash
-from ..fabric.plan import FabricPlan, plan_sweep
+from ..fabric.plan import FabricPlan, plan_grid
 from ..fabric.work import ItemResult, execute_item
 from ..runtime import Engine, lossy, minority, scenario
 from ..runtime.cache import RunCache
@@ -53,13 +54,8 @@ from .campaign import FaultPlan, corrupt_cache_entries, mutilate_journal
 
 __all__ = ["CampaignReport", "Invariant", "run_campaign", "soak_plan"]
 
-#: The sweep function the soak shards: E1's per-config runner, the smallest
-#: real workload that still produces determinism digests.
-SOAK_FN = "repro.experiments.e1_ohp_convergence._run_one"
-
-
 def soak_plan(seed: int) -> FabricPlan:
-    """A 12-item E1 sweep: small enough to soak in seconds, big enough that
+    """A 12-spec E1 sweep: small enough to soak in seconds, big enough that
     every chaos threshold (kill after ≤4 results, crash after ≤7 chunks,
     stall after ≤6 results) fires with work still outstanding."""
     sweep = ParameterSweep(
@@ -73,7 +69,7 @@ def soak_plan(seed: int) -> FabricPlan:
         repetitions=3,
         base_seed=seed,
     )
-    return plan_sweep(SOAK_FN, sweep, name="soak")
+    return plan_grid([(e1_spec, sweep)], name="soak")
 
 
 @dataclass
@@ -184,18 +180,17 @@ def _check_merge(
 def _check_digests(
     report: CampaignReport, result: FabricResult, serial: list[ItemResult]
 ) -> None:
-    """Every digest record the chaotic run carried must equal the serial one."""
-    reference = {item.index: item.digests for item in serial}
+    """Every record the chaotic run produced must carry the serial digest."""
+    reference = {item.index: item.digest for item in serial}
     mismatched = [
         result_item.index
         for result_item in result.results
-        if result_item.digests and result_item.digests != reference[result_item.index]
+        if result_item.digest != reference[result_item.index]
     ]
-    carried = sum(1 for result_item in result.results if result_item.digests)
     report.check(
         "digests",
         not mismatched,
-        f"{carried}/{len(result.results)} items carried digests, "
+        f"{len(result.results)} items' digests "
         + ("all equal to serial" if not mismatched else f"MISMATCHED at {mismatched}"),
     )
 

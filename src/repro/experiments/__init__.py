@@ -1,9 +1,12 @@
 """The experiment harness behind EXPERIMENTS.md and the benchmarks.
 
 Every module ``eN_*`` regenerates one experiment of the reproduction plan
-(see DESIGN.md §3).  Each exposes ``run(quick=True, seed=0)`` returning an
-:class:`~repro.analysis.runner.ExperimentResult`; ``quick`` trades sweep width
-for runtime and is what the benchmark suite uses.
+(see DESIGN.md §3).  Each exposes ``run(quick=True, seed=0, engine=None)``
+returning an :class:`~repro.analysis.runner.ExperimentResult`; ``quick``
+trades sweep width for runtime and is what the benchmark suite uses.  The
+deterministic experiments are :class:`~repro.experiments.grid.Experiment`
+objects — a declared spec grid plus a pure ``summarise(rows)`` — so their
+whole work is plannable without running it (see :mod:`repro.fabric.plan`).
 """
 
 from . import (

@@ -7,9 +7,8 @@ Examples::
     python -m repro.experiments --full E4 E5        # full sweeps of E4 and E5
     python -m repro.experiments --jobs 4            # one warm worker pool,
                                                     # reused across experiments
-    python -m repro.experiments --jobs 4 --pool cold   # fresh pool per sweep
     python -m repro.experiments --cache .run-cache  # memoize completed runs
-    python -m repro.experiments --stream --jsonl runs.jsonl   # rows as they land
+    python -m repro.experiments --stream --jsonl runs.jsonl   # records as they land
     python -m repro.experiments --format json E1    # machine-readable output
     python -m repro.experiments --seed 3 -o report.txt --jsonl runs.jsonl
     python -m repro.experiments E1 --shard 2/3 --jsonl shard2.jsonl
@@ -26,7 +25,7 @@ import json
 import sys
 import time
 
-from ..runtime import Engine, executor_for
+from ..runtime import Engine
 from ..runtime.registry import EXPERIMENTS
 from . import ALL_EXPERIMENTS, WALLCLOCK_EXPERIMENTS  # noqa: F401  (importing registers E1–E11)
 
@@ -36,11 +35,9 @@ __all__ = ["main"]
 def _run_shard(parser, args, selected: list[str]) -> int:
     """Execute one contiguous shard of the selected experiments' work plan.
 
-    The plan (and therefore the shard boundaries and row order) is exactly
-    what a serial run executes, so ``cat shard1 … shardN`` reproduces the
-    serial ``--jsonl`` byte-for-byte — with one caveat: experiments that use
-    ``Engine.map`` (E3) emit nothing to the serial JSONL, whereas their rows
-    *do* appear here, so for those the concatenation is a superset.
+    The plan (and therefore the shard boundaries and record order) is
+    exactly what a serial run executes, so ``cat shard1 … shardN``
+    reproduces the serial ``--jsonl`` byte-for-byte.
     """
     from ..fabric.plan import PlanningError, plan_experiments
     from ..fabric.work import execute_item
@@ -102,15 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the sweeps (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("warm", "cold"),
-        default="warm",
-        help="pool mode for --jobs > 1: 'warm' keeps one persistent worker "
-        "pool across all selected experiments (default); 'cold' spawns and "
-        "tears down a pool per sweep call",
+        help="worker processes for the sweeps (default 1 = serial); one warm "
+        "pool serves every selected experiment",
     )
     parser.add_argument(
         "--cache",
@@ -122,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--stream",
         action="store_true",
-        help="print every run's record/row to stderr as one JSON line the "
+        help="print every run's record to stderr as one JSON line the "
         "moment it completes (tables still print at the end; with --jsonl "
         "the log flushes incrementally either way)",
     )
@@ -135,8 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jsonl",
         metavar="FILE",
-        help="append every run record/row to this JSONL file (written after "
-        "each experiment's sweep finishes)",
+        help="append every run record to this JSONL file (flushed as each "
+        "run completes, in sweep order)",
     )
     parser.add_argument(
         "-o",
@@ -148,10 +138,10 @@ def main(argv: list[str] | None = None) -> int:
         "--shard",
         metavar="i/N",
         help="execute only shard i of N (1-based) of the selected experiments' "
-        "work plan and emit its rows as JSONL (to --jsonl or stdout); shards "
+        "work plan and emit its records as JSONL (to --jsonl or stdout); shards "
         "partition the plan contiguously, so concatenating all N shard files "
         "in order is byte-identical to the serial JSONL. Tables are skipped; "
-        "--jobs/--pool/--stream do not apply",
+        "--jobs/--stream do not apply",
     )
     args = parser.parse_args(argv)
 
@@ -174,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(payload, sort_keys=True, default=str), file=sys.stderr, flush=True)
 
     engine = Engine(
-        executor_for(args.jobs, pool=args.pool),
+        jobs=args.jobs,
         jsonl_path=args.jsonl,
         cache=args.cache,
         progress=stream_line if args.stream else None,

@@ -21,7 +21,8 @@ just termination:
 from __future__ import annotations
 
 from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, ScenarioSpec, lossy, minority, scenario
+from ..runtime import ScenarioSpec, lossy, minority, scenario
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
@@ -56,9 +57,7 @@ def _make_spec(config: dict) -> ScenarioSpec:
     return build.build()
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E10 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def grid(quick: bool, seed: int) -> Grid:
     if quick:
         parameters = {
             "clients": [2, 4],
@@ -75,8 +74,10 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "fault": ["none", "crash", "lossy"],
         }
         repetitions = 3
-    sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.run_sweep(_make_spec, sweep)
+    return [(_make_spec, ParameterSweep(parameters, repetitions=repetitions, base_seed=seed))]
+
+
+def summarise(rows: list[dict]) -> ExperimentResult:
     aggregated = aggregate_rows(
         rows,
         group_by=["clients", "skew", "fault"],
@@ -124,3 +125,7 @@ def _mean(values: list[float]) -> float | None:
     if not values:
         return None
     return sum(values) / len(values)
+
+
+#: Run the E10 sweep and return the aggregated result.
+run = Experiment(grid, summarise)

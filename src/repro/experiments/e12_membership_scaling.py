@@ -28,7 +28,8 @@ be ≈ 10⁹ copies per round, which is precisely the point of the experiment.
 from __future__ import annotations
 
 from ..analysis.runner import ExperimentResult
-from ..runtime import Engine, asynchronous, crashes_at, scenario
+from ..runtime import ScenarioSpec, asynchronous, crashes_at, scenario
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
@@ -55,35 +56,22 @@ def _hb_timeout(mode: str, n: int) -> float:
     return 8.0 if n <= 100 else 12.0
 
 
-def _run_one(config: dict) -> dict:
+def _check(config: dict) -> str:
+    """The check that judges a cell: detection per topology, or churn."""
+    if config["churn"] != "none":
+        return "membership_churn"
+    return "hb_detection" if config["mode"] == "full_mesh" else "topo_detection"
+
+
+def _spec(config: dict) -> ScenarioSpec:
     mode, n, churn = config["mode"], config["n"], config["churn"]
     degree = config["degree"]
     hb_timeout = _hb_timeout(mode, n)
-    if churn == "none":
-        horizon = _CRASH_AT + hb_timeout + 5.0 * _HB_INTERVAL + 3.0
-        build = (
-            scenario(f"E12-{mode}-n{n}")
-            .processes(n)
-            .unique_ids()
-            .timing(asynchronous(min_latency=0.01, max_latency=0.2))
-            .crashes(crashes_at({n - 1: _CRASH_AT}))
-            .program("heartbeat", hb_interval=_HB_INTERVAL, hb_timeout=hb_timeout)
-            .horizon(horizon)
-            .seed(config["seed"])
-        )
-        if mode == "full_mesh":
-            build = build.check("hb_detection")
-        else:
-            key = "successors" if mode == "ring" else "fanout"
-            build = build.topology(mode, **{key: degree}).check("topo_detection")
-        spec = build.build()
-        check = "hb_detection" if mode == "full_mesh" else "topo_detection"
-    else:
+    if churn != "none":
         from ..workloads.churn import churn_spec
 
         scale = max(1, n // 100)
-        horizon = 60.0
-        spec = churn_spec(
+        return churn_spec(
             n,
             topology=mode,
             degree=degree,
@@ -93,29 +81,46 @@ def _run_one(config: dict) -> dict:
             crashes={n // 2: _CRASH_AT},
             hb_interval=_HB_INTERVAL,
             hb_timeout=hb_timeout,
-            horizon=horizon,
+            horizon=60.0,
             seed=config["seed"],
             name=f"E12-{mode}-n{n}-churn",
         )
-        check = "membership_churn"
-    metrics = Engine().run(spec).metrics
-
-    copies = metrics[f"{check}_copies_sent"]
-    end_time = metrics[f"{check}_end_time"]
-    rounds = max(end_time / _HB_INTERVAL, 1.0)
-    latency_key = (
-        "median_removal_latency" if check == "membership_churn" else "median_latency"
+    build = (
+        scenario(f"E12-{mode}-n{n}")
+        .processes(n)
+        .unique_ids()
+        .timing(asynchronous(min_latency=0.01, max_latency=0.2))
+        .crashes(crashes_at({n - 1: _CRASH_AT}))
+        .program("heartbeat", hb_interval=_HB_INTERVAL, hb_timeout=hb_timeout)
+        .horizon(_CRASH_AT + hb_timeout + 5.0 * _HB_INTERVAL + 3.0)
+        .seed(config["seed"])
     )
+    if mode != "full_mesh":
+        key = "successors" if mode == "ring" else "fanout"
+        build = build.topology(mode, **{key: degree})
+    return build.check(_check(config)).build()
+
+
+def _cell_row(row: dict) -> dict:
+    """One table row from a cell's config and its check's metrics."""
+    check = _check(row)
+    copies = row[f"{check}_copies_sent"]
+    rounds = max(row[f"{check}_end_time"] / _HB_INTERVAL, 1.0)
+    latency_key = "median_removal_latency" if check == "membership_churn" else "median_latency"
     missed_key = "removals_missed" if check == "membership_churn" else "missed"
     return {
-        "ok": metrics[f"{check}_ok"],
-        "detection_latency": metrics[f"{check}_{latency_key}"],
-        "missed": metrics[f"{check}_{missed_key}"],
-        "false_suspicions": metrics.get(f"{check}_false_suspicions", 0),
+        "mode": row["mode"],
+        "n": row["n"],
+        "churn": row["churn"],
+        "degree": row["degree"],
+        "ok": row[f"{check}_ok"],
+        "detection_latency": row[f"{check}_{latency_key}"],
+        "missed": row[f"{check}_{missed_key}"],
+        "false_suspicions": row.get(f"{check}_false_suspicions", 0),
         "copies_sent": copies,
-        "msgs_per_proc_round": round(copies / n / rounds, 3),
-        "joins_completed": metrics.get(f"{check}_joins_completed"),
-        "recoveries": metrics.get(f"{check}_recoveries"),
+        "msgs_per_proc_round": round(copies / row["n"] / rounds, 3),
+        "joins_completed": row.get(f"{check}_joins_completed"),
+        "recoveries": row.get(f"{check}_recoveries"),
     }
 
 
@@ -143,14 +148,16 @@ def _cells(quick: bool) -> list[dict]:
     return cells
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E12 scaling grid and return the aggregated result."""
-    engine = engine or Engine()
-    configs = []
-    for combo_index, cell in enumerate(_cells(quick)):
-        configs.append({**cell, "seed": seed + combo_index, "repetition": 0})
-    rows = engine.sweep(_run_one, configs)
+def grid(quick: bool, seed: int) -> Grid:
+    configs = [
+        {**cell, "seed": seed + combo_index, "repetition": 0}
+        for combo_index, cell in enumerate(_cells(quick))
+    ]
+    return [(_spec, configs)]
 
+
+def summarise(rows: list[dict]) -> ExperimentResult:
+    rows = [_cell_row(row) for row in rows]
     by_cell = {(row["mode"], row["n"], row["churn"]): row for row in rows}
     mesh_small = by_cell[("full_mesh", 7, "none")]
     ring_small = by_cell[("ring", 7, "none")]
@@ -184,27 +191,10 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         ),
         "sparse_within_10pct_of_mesh": sparse_vs_mesh_pct <= 10.0,
     }
-    ordered = [
-        {
-            "mode": row["mode"],
-            "n": row["n"],
-            "churn": row["churn"],
-            "degree": row["degree"],
-            "ok": row["ok"],
-            "detection_latency": row["detection_latency"],
-            "missed": row["missed"],
-            "false_suspicions": row["false_suspicions"],
-            "copies_sent": row["copies_sent"],
-            "msgs_per_proc_round": row["msgs_per_proc_round"],
-            "joins_completed": row["joins_completed"],
-            "recoveries": row["recoveries"],
-        }
-        for row in rows
-    ]
     return ExperimentResult(
         experiment="E12",
         description=DESCRIPTION,
-        rows=tuple(ordered),
+        rows=tuple(rows),
         summary=summary,
         columns=(
             "mode",
@@ -221,3 +211,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "recoveries",
         ),
     )
+
+
+#: Run the E12 scaling grid and return the aggregated result.
+run = Experiment(grid, summarise)

@@ -11,61 +11,41 @@ how far the adaptive timeout grows, and contrasts the fixed-timeout ablation
 
 from __future__ import annotations
 
-from ..algorithms import OhpPollingProgram
 from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..detectors import check_diamond_hp, check_homega_election
-from ..runtime import Engine
-from ..sim import PartiallySynchronousTiming, Simulation, build_system
-from ..sim.failures import FailurePattern
-from ..workloads.crashes import minority_crashes
-from ..workloads.homonymy import membership_with_distinct_ids
+from ..runtime import ScenarioSpec, minority, partial_sync, scenario
+from .grid import Experiment, Grid
 
-__all__ = ["run"]
+__all__ = ["run", "make_spec"]
 
 DESCRIPTION = "◇HP / HΩ convergence under partial synchrony (Figure 6, Theorem 5, Corollary 2)"
 
 
-def _run_one(config: dict) -> dict:
-    membership = membership_with_distinct_ids(config["n"], config["distinct_ids"])
-    crash_schedule = minority_crashes(membership, at=config["gst"] / 2 + 1.0)
-    timing = PartiallySynchronousTiming(
-        gst=config["gst"],
-        delta=config["delta"],
-        min_latency=0.1,
-        pre_gst_loss=0.4,
-        pre_gst_max_latency=4 * config["gst"] + 10.0,
+def make_spec(config: dict) -> ScenarioSpec:
+    """One Figure 6 run: polling ◇HP under pre-GST loss, a minority crashing."""
+    gst = config["gst"]
+    return (
+        scenario("E1")
+        .processes(config["n"])
+        .distinct_ids(config["distinct_ids"])
+        .timing(
+            partial_sync(
+                gst,
+                config["delta"],
+                min_latency=0.1,
+                pre_gst_loss=0.4,
+                pre_gst_max_latency=4 * gst + 10.0,
+            )
+        )
+        .crashes(minority(at=gst / 2 + 1.0))
+        .program("ohp_polling", fixed_timeout=config["fixed_timeout"])
+        .check("diamond_hp", "homega", "ohp_timeout")
+        .horizon(gst * 4 + 120.0)
+        .seed(config["seed"])
+        .build()
     )
-    system = build_system(
-        membership=membership,
-        timing=timing,
-        program_factory=lambda pid, identity: OhpPollingProgram(
-            fixed_timeout=config["fixed_timeout"]
-        ),
-        crash_schedule=crash_schedule,
-        seed=config["seed"],
-    )
-    simulation = Simulation(system)
-    horizon = config["gst"] * 4 + 120.0
-    trace = simulation.run(until=horizon)
-    pattern = FailurePattern(membership, crash_schedule)
-    hp_result = check_diamond_hp(trace, pattern)
-    homega_result = check_homega_election(trace, pattern)
-    timeouts = [
-        trace.final_value(process, "ohp.timeout")
-        for process in pattern.correct
-        if trace.final_value(process, "ohp.timeout") is not None
-    ]
-    return {
-        "converged": hp_result.ok,
-        "homega_ok": homega_result.ok,
-        "convergence_time": hp_result.stabilization_time if hp_result.ok else None,
-        "final_timeout": max(timeouts) if timeouts else None,
-    }
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E1 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def grid(quick: bool, seed: int) -> Grid:
     if quick:
         parameters = {
             "n": [5],
@@ -84,24 +64,31 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "fixed_timeout": [False],
         }
         repetitions = 3
-    sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
-
     # The fixed-timeout ablation: one configuration where the static timeout is
     # below the actual latency bound, expected NOT to converge.
-    ablation_sweep = ParameterSweep(
-        {
-            "n": [4],
-            "distinct_ids": [2],
-            "gst": [0.0],
-            "delta": [4.0],
-            "fixed_timeout": [True],
-        },
-        repetitions=1,
-        base_seed=seed + 1_000,
-    )
-    rows.extend(engine.sweep(_run_one, ablation_sweep))
+    ablation = {
+        "n": [4],
+        "distinct_ids": [2],
+        "gst": [0.0],
+        "delta": [4.0],
+        "fixed_timeout": [True],
+    }
+    return [
+        (make_spec, ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)),
+        (make_spec, ParameterSweep(ablation, repetitions=1, base_seed=seed + 1_000)),
+    ]
 
+
+def summarise(rows: list[dict]) -> ExperimentResult:
+    rows = [
+        {
+            **row,
+            "converged": row["diamond_hp_ok"],
+            "convergence_time": row["diamond_hp_time"] if row["diamond_hp_ok"] else None,
+            "final_timeout": row["ohp_timeout_final"],
+        }
+        for row in rows
+    ]
     aggregated = aggregate_rows(
         rows,
         group_by=["n", "distinct_ids", "gst", "delta", "fixed_timeout"],
@@ -134,3 +121,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "final_timeout",
         ),
     )
+
+
+#: Run the E1 sweep and return the aggregated result.
+run = Experiment(grid, summarise)

@@ -9,52 +9,39 @@ which is what makes HΣ necessary for the Figure 9 consensus algorithm).
 
 from __future__ import annotations
 
-from ..algorithms import HSigmaSynchronousProgram
 from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..detectors import check_hsigma
-from ..runtime import Engine
-from ..sim import Simulation, SynchronousTiming, build_system
-from ..sim.failures import FailurePattern
-from ..workloads.crashes import cascading_crashes
-from ..workloads.homonymy import membership_with_distinct_ids
+from ..runtime import ScenarioSpec, cascading, scenario, synchronous
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
 DESCRIPTION = "HΣ in synchronous homonymous systems (Figure 7, Theorem 6)"
 
 
-def _run_one(config: dict) -> dict:
-    membership = membership_with_distinct_ids(config["n"], config["distinct_ids"])
-    crash_count = min(config["crashes"], membership.size - 1)
-    crash_schedule = cascading_crashes(
-        membership,
-        crash_count,
-        first_at=2.4,
-        interval=2.0,
-        partial_broadcast_fraction=0.5 if config["crash_mid_broadcast"] else None,
-    )
+def _spec(config: dict) -> ScenarioSpec:
     steps = config["steps"]
-    system = build_system(
-        membership=membership,
-        timing=SynchronousTiming(step=1.0),
-        program_factory=lambda pid, identity: HSigmaSynchronousProgram(steps=steps),
-        crash_schedule=crash_schedule,
-        seed=config["seed"],
+    return (
+        scenario("E2")
+        .processes(config["n"])
+        .distinct_ids(config["distinct_ids"])
+        .timing(synchronous(1.0))
+        .crashes(
+            cascading(
+                config["crashes"],
+                first_at=2.4,
+                interval=2.0,
+                partial_broadcast_fraction=0.5 if config["crash_mid_broadcast"] else None,
+            )
+        )
+        .program("hsigma_sync", steps=steps)
+        .check("hsigma")
+        .horizon(steps + 2.0)
+        .seed(config["seed"])
+        .build()
     )
-    simulation = Simulation(system)
-    trace = simulation.run(until=steps + 2.0)
-    pattern = FailurePattern(membership, crash_schedule)
-    result = check_hsigma(trace, pattern)
-    return {
-        "properties_ok": result.ok,
-        "violations": len(result.violations),
-        "faulty": crash_count,
-    }
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E2 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def grid(quick: bool, seed: int) -> Grid:
     if quick:
         parameters = {
             "n": [5],
@@ -73,8 +60,14 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "steps": [20],
         }
         repetitions = 2
-    sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
+    return [(_spec, ParameterSweep(parameters, repetitions=repetitions, base_seed=seed))]
+
+
+def summarise(rows: list[dict]) -> ExperimentResult:
+    rows = [
+        {**row, "properties_ok": row["hsigma_ok"], "violations": row["hsigma_violations"]}
+        for row in rows
+    ]
     aggregated = aggregate_rows(
         rows,
         group_by=["n", "distinct_ids", "crashes", "crash_mid_broadcast"],
@@ -99,3 +92,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "violations",
         ),
     )
+
+
+#: Run the E2 sweep and return the aggregated result.
+run = Experiment(grid, summarise)

@@ -12,193 +12,82 @@ systems that underpins the paper's comparison with prior work.
 from __future__ import annotations
 
 from ..analysis.runner import ExperimentResult
-from ..detectors import (
-    APOracle,
-    ASigmaOracle,
-    DiamondHPOracle,
-    HSigmaOracle,
-    ScriptEOracle,
-    SigmaOracle,
-    check_diamond_hp,
-    check_homega_election,
-    check_hsigma,
-    check_sigma,
-)
 from ..detectors.classes import DetectorClass
-from ..reductions import (
-    APToDiamondHP,
-    APToHSigma,
-    ASigmaToHSigma,
-    DiamondHPToHOmega,
-    HSigmaToSigma,
-    SigmaToHSigmaUnknownMembership,
-    SigmaToHSigmaWithMembership,
-    equivalent_classes,
-    is_stronger,
-)
-from ..membership import anonymous_identities, grouped_identities, unique_identities
-from ..runtime import Engine
-from ..sim import AsynchronousTiming, CrashSchedule, Simulation, build_system
-from ..sim.failures import FailurePattern
+from ..reductions import equivalent_classes, is_stronger
+from ..runtime import ScenarioSpec, asynchronous, crashes_at, scenario
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
 DESCRIPTION = "Reductions between detector classes (Figures 1-4, Theorems 1-4, Observation 1)"
 
 _STABILIZATION = 15.0
+_UNIQUE_IDENTITIES = [f"id{index}" for index in range(4)]
+
+#: One row per reduction: the table's description columns, then how to run
+#: it — membership shape, reduction program (+ params), the source-class
+#: oracles, and the target class's property check.
+_CASES = (
+    ("Figure 1 (Theorem 1.1)", "Σ → HΣ (known membership)", "AS", "unique",
+     "sigma_to_hsigma_known", {"identities": _UNIQUE_IDENTITIES}, ("Sigma",), "hsigma"),
+    ("Figure 2 (Theorem 1.2)", "Σ → HΣ (unknown membership)", "AS", "unique",
+     "sigma_to_hsigma", {}, ("Sigma",), "hsigma"),
+    ("Figure 4 (Theorem 2)", "HΣ → Σ (uses ℰ)", "AS", "unique",
+     "hsigma_to_sigma", {}, ("HSigma", "ScriptE"), "sigma"),
+    ("Theorem 3", "AΣ → HΣ", "AAS", "anonymous",
+     "asigma_to_hsigma", {}, ("ASigma",), "hsigma"),
+    ("Lemma 2 (Theorem 4)", "AP → ◇HP", "AAS", "anonymous",
+     "ap_to_diamond_hp", {}, ("AP",), "diamond_hp"),
+    ("Lemma 3 (Theorem 4)", "AP → HΣ", "AAS", "anonymous",
+     "ap_to_hsigma", {}, ("AP",), "hsigma"),
+    ("Observation 1", "◇HP → HΩ", "HAS", "homonymous",
+     "diamond_hp_to_homega", {}, ("DiamondHP",), "homega"),
+)
 
 
-def _run_reduction(membership, program_factory, detectors, checker, *, seed, horizon=90.0):
-    crash_schedule = CrashSchedule.at_times(
-        {membership.processes[1]: 10.0} if membership.size > 2 else {}
+def _spec(config: dict) -> ScenarioSpec:
+    """One reduction over a source-class oracle; process 1 crashes at t=10."""
+    _, _, _, shape, program, params, detectors, check = _CASES[config["case"]]
+    build = scenario("E3")
+    if shape == "unique":
+        build = build.processes(4).unique_ids()
+    elif shape == "anonymous":
+        build = build.processes(4).anonymous()
+    else:
+        build = build.homonyms([2, 2, 1])
+    return (
+        build.timing(asynchronous(max_latency=1.5))
+        .crashes(crashes_at({1: 10.0}))
+        .detectors(*detectors, stabilization=_STABILIZATION)
+        .program(program, period=1.0, **params)
+        .check(check)
+        .horizon(90.0)
+        .seed(config["seed"])
+        .build()
     )
-    system = build_system(
-        membership=membership,
-        timing=AsynchronousTiming(min_latency=0.1, max_latency=1.5),
-        program_factory=program_factory,
-        crash_schedule=crash_schedule,
-        detectors=detectors,
-        seed=seed,
-    )
-    simulation = Simulation(system)
-    trace = simulation.run(until=horizon)
-    pattern = FailurePattern(membership, crash_schedule)
-    result = checker(trace, pattern)
-    return result
 
 
-def _reduction_cases(seed: int):
-    """Yield (row description, callable returning a CheckResult)."""
-    unique = unique_identities(4)
-    homonymous = grouped_identities([2, 2, 1])
-    anonymous = anonymous_identities(4)
+def grid(quick: bool, seed: int) -> Grid:
+    configs = [
+        {"case": index, "paper_item": case[0], "reduction": case[1], "model": case[2],
+         "check": case[7], "seed": seed + index}
+        for index, case in enumerate(_CASES)
+    ]
+    return [(_spec, configs)]
 
-    yield (
+
+def summarise(rows: list[dict]) -> ExperimentResult:
+    rows = [
         {
-            "paper_item": "Figure 1 (Theorem 1.1)",
-            "reduction": "Σ → HΣ (known membership)",
-            "model": "AS",
-        },
-        lambda: _run_reduction(
-            unique,
-            lambda pid, identity: SigmaToHSigmaWithMembership(
-                unique.identity_multiset(), period=1.0
-            ),
-            {"Sigma": lambda s: SigmaOracle(s, stabilization_time=_STABILIZATION)},
-            check_hsigma,
-            seed=seed,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Figure 2 (Theorem 1.2)",
-            "reduction": "Σ → HΣ (unknown membership)",
-            "model": "AS",
-        },
-        lambda: _run_reduction(
-            unique,
-            lambda pid, identity: SigmaToHSigmaUnknownMembership(period=1.0),
-            {"Sigma": lambda s: SigmaOracle(s, stabilization_time=_STABILIZATION)},
-            check_hsigma,
-            seed=seed + 1,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Figure 4 (Theorem 2)",
-            "reduction": "HΣ → Σ (uses ℰ)",
-            "model": "AS",
-        },
-        lambda: _run_reduction(
-            unique,
-            lambda pid, identity: HSigmaToSigma(period=1.0),
-            {
-                "HSigma": lambda s: HSigmaOracle(s, stabilization_time=_STABILIZATION),
-                "ScriptE": lambda s: ScriptEOracle(s, stabilization_time=_STABILIZATION),
-            },
-            check_sigma,
-            seed=seed + 2,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Theorem 3",
-            "reduction": "AΣ → HΣ",
-            "model": "AAS",
-        },
-        lambda: _run_reduction(
-            anonymous,
-            lambda pid, identity: ASigmaToHSigma(period=1.0),
-            {"ASigma": lambda s: ASigmaOracle(s, stabilization_time=_STABILIZATION)},
-            check_hsigma,
-            seed=seed + 3,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Lemma 2 (Theorem 4)",
-            "reduction": "AP → ◇HP",
-            "model": "AAS",
-        },
-        lambda: _run_reduction(
-            anonymous,
-            lambda pid, identity: APToDiamondHP(period=1.0),
-            {"AP": lambda s: APOracle(s, stabilization_time=_STABILIZATION)},
-            check_diamond_hp,
-            seed=seed + 4,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Lemma 3 (Theorem 4)",
-            "reduction": "AP → HΣ",
-            "model": "AAS",
-        },
-        lambda: _run_reduction(
-            anonymous,
-            lambda pid, identity: APToHSigma(period=1.0),
-            {"AP": lambda s: APOracle(s, stabilization_time=_STABILIZATION)},
-            check_hsigma,
-            seed=seed + 5,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Observation 1",
-            "reduction": "◇HP → HΩ",
-            "model": "HAS",
-        },
-        lambda: _run_reduction(
-            homonymous,
-            lambda pid, identity: DiamondHPToHOmega(period=1.0),
-            {"DiamondHP": lambda s: DiamondHPOracle(s, stabilization_time=_STABILIZATION)},
-            check_homega_election,
-            seed=seed + 6,
-        ),
-    )
-
-
-def _run_case(config: dict) -> dict:
-    """Run one reduction case by index (module-level so executors can fan out)."""
-    for case_index, (description, runner) in enumerate(_reduction_cases(config["seed"])):
-        if case_index == config["case"]:
-            result = runner()
-            row = dict(description)
-            row["emulation_ok"] = result.ok
-            row["stabilization_time"] = result.stabilization_time
-            row["violations"] = len(result.violations)
-            return row
-    raise ValueError(f"unknown reduction case {config['case']!r}")
-
-
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run every reduction case and the relation-graph checks."""
-    engine = engine or Engine()
-    case_count = sum(1 for _ in _reduction_cases(seed))
-    rows = engine.map(
-        _run_case, [{"case": index, "seed": seed} for index in range(case_count)]
-    )
-
+            "paper_item": row["paper_item"],
+            "reduction": row["reduction"],
+            "model": row["model"],
+            "emulation_ok": row[f"{row['check']}_ok"],
+            "stabilization_time": row[f"{row['check']}_time"],
+            "violations": row[f"{row['check']}_violations"],
+        }
+        for row in rows
+    ]
     sigma_group = next(
         (group for group in equivalent_classes(model="AS") if DetectorClass.SIGMA in group),
         frozenset(),
@@ -232,3 +121,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "violations",
         ),
     )
+
+
+#: Run every reduction case and the relation-graph checks.
+run = Experiment(grid, summarise)

@@ -12,13 +12,13 @@ from __future__ import annotations
 from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
 from ..runtime import (
     CrashSpec,
-    Engine,
-    execute_spec,
+    ScenarioSpec,
     leaders,
     minority,
     no_crashes,
     scenario,
 )
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
@@ -37,8 +37,8 @@ def _crash_spec(mode: str, n: int, at: float) -> CrashSpec:
     raise ValueError(f"unknown crash mode {mode!r}")
 
 
-def _run_one(config: dict) -> dict:
-    spec = (
+def _spec(config: dict) -> ScenarioSpec:
+    return (
         scenario("E4")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
@@ -49,12 +49,9 @@ def _run_one(config: dict) -> dict:
         .seed(config["seed"])
         .build()
     )
-    return dict(execute_spec(spec).metrics)
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E4 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def grid(quick: bool, seed: int) -> Grid:
     if quick:
         parameters = {
             "n": [5],
@@ -71,8 +68,10 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "stabilization": [5.0, 20.0, 50.0],
         }
         repetitions = 5
-    sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
+    return [(_spec, ParameterSweep(parameters, repetitions=repetitions, base_seed=seed))]
+
+
+def summarise(rows: list[dict]) -> ExperimentResult:
     aggregated = aggregate_rows(
         rows,
         group_by=["n", "distinct_ids", "crash_mode", "stabilization"],
@@ -101,3 +100,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "broadcasts",
         ),
     )
+
+
+#: Run the E4 sweep and return the aggregated result.
+run = Experiment(grid, summarise)

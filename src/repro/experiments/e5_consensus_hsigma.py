@@ -10,35 +10,33 @@ as E4, so the two algorithms can be compared where both apply.
 from __future__ import annotations
 
 from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, cascading, execute_spec, scenario
+from ..runtime import ScenarioSpec, cascading, scenario
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
 DESCRIPTION = "Consensus with HΩ and HΣ under any number of crashes (Figure 9, Theorem 8)"
 
 
-def _run_one(config: dict) -> dict:
-    crash_count = min(config["crashes"], config["n"] - 1)
-    spec = (
+def _faulty(config: dict) -> int:
+    return min(config["crashes"], config["n"] - 1)
+
+
+def _spec(config: dict) -> ScenarioSpec:
+    return (
         scenario("E5")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
-        .crashes(cascading(crash_count, first_at=6.0, interval=4.0))
+        .crashes(cascading(_faulty(config), first_at=6.0, interval=4.0))
         .detectors("HOmega", "HSigma", stabilization=config["stabilization"])
         .consensus("homega_hsigma")
         .horizon(700.0)
         .seed(config["seed"])
         .build()
     )
-    row = dict(execute_spec(spec).metrics)
-    row["faulty"] = crash_count
-    row["majority_crashed"] = crash_count > config["n"] / 2
-    return row
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E5 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def grid(quick: bool, seed: int) -> Grid:
     if quick:
         parameters = {
             "n": [5],
@@ -55,8 +53,14 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "stabilization": [5.0, 20.0, 50.0],
         }
         repetitions = 4
-    sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
+    return [(_spec, ParameterSweep(parameters, repetitions=repetitions, base_seed=seed))]
+
+
+def summarise(rows: list[dict]) -> ExperimentResult:
+    rows = [
+        {**row, "faulty": _faulty(row), "majority_crashed": _faulty(row) > row["n"] / 2}
+        for row in rows
+    ]
     aggregated = aggregate_rows(
         rows,
         group_by=["n", "distinct_ids", "crashes", "stabilization"],
@@ -92,3 +96,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "broadcasts",
         ),
     )
+
+
+#: Run the E5 sweep and return the aggregated result.
+run = Experiment(grid, summarise)

@@ -18,7 +18,8 @@ number of rounds everywhere.
 from __future__ import annotations
 
 from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, execute_spec, minority, scenario
+from ..runtime import ScenarioSpec, minority, scenario
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
@@ -34,9 +35,9 @@ _ALGORITHMS = {
 }
 
 
-def _run_one(config: dict) -> dict:
+def _spec(config: dict) -> ScenarioSpec:
     consensus_name, detector_name = _ALGORITHMS[config["algorithm"]]
-    spec = (
+    return (
         scenario("E6")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
@@ -47,48 +48,28 @@ def _run_one(config: dict) -> dict:
         .seed(config["seed"])
         .build()
     )
-    return dict(execute_spec(spec).metrics)
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E6 spectrum sweep and return the aggregated result."""
-    engine = engine or Engine()
+def grid(quick: bool, seed: int) -> Grid:
     n = 6
     repetitions = 2 if quick else 6
     spectrum_points = [1, 2, 3, 6] if quick else list(range(1, n + 1))
 
-    sweep = ParameterSweep(
-        {
-            "algorithm": ["figure8-homega"],
-            "n": [n],
-            "distinct_ids": spectrum_points,
-        },
-        repetitions=repetitions,
-        base_seed=seed,
-    )
-    rows = engine.sweep(_run_one, sweep)
+    def algorithm_sweep(algorithm: str, distinct_ids: list[int], base_seed: int) -> ParameterSweep:
+        return ParameterSweep(
+            {"algorithm": [algorithm], "n": [n], "distinct_ids": distinct_ids},
+            repetitions=repetitions,
+            base_seed=base_seed,
+        )
 
-    baseline_sweep = ParameterSweep(
-        {
-            "algorithm": ["classical-omega"],
-            "n": [n],
-            "distinct_ids": [n],
-        },
-        repetitions=repetitions,
-        base_seed=seed + 500,
-    )
-    rows.extend(engine.sweep(_run_one, baseline_sweep))
-    anonymous_sweep = ParameterSweep(
-        {
-            "algorithm": ["anonymous-aomega"],
-            "n": [n],
-            "distinct_ids": [1],
-        },
-        repetitions=repetitions,
-        base_seed=seed + 900,
-    )
-    rows.extend(engine.sweep(_run_one, anonymous_sweep))
+    return [
+        (_spec, algorithm_sweep("figure8-homega", spectrum_points, seed)),
+        (_spec, algorithm_sweep("classical-omega", [n], seed + 500)),
+        (_spec, algorithm_sweep("anonymous-aomega", [1], seed + 900)),
+    ]
 
+
+def summarise(rows: list[dict]) -> ExperimentResult:
     aggregated = aggregate_rows(
         rows,
         group_by=["algorithm", "distinct_ids"],
@@ -115,3 +96,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "broadcasts",
         ),
     )
+
+
+#: Run the E6 spectrum sweep and return the aggregated result.
+run = Experiment(grid, summarise)

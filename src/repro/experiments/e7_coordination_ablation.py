@@ -16,7 +16,8 @@ more rounds and misses the decision deadline in a fraction of the runs.
 from __future__ import annotations
 
 from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, execute_spec, scenario
+from ..runtime import ScenarioSpec, scenario
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
@@ -33,8 +34,8 @@ _VARIANTS = {
 }
 
 
-def _run_one(config: dict) -> dict:
-    spec = (
+def _spec(config: dict) -> ScenarioSpec:
+    return (
         scenario("E7")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
@@ -44,23 +45,22 @@ def _run_one(config: dict) -> dict:
         .seed(config["seed"])
         .build()
     )
-    return dict(execute_spec(spec).metrics)
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the ablation and return the aggregated comparison."""
-    engine = engine or Engine()
-    repetitions = 12 if quick else 40
+def grid(quick: bool, seed: int) -> Grid:
     sweep = ParameterSweep(
         {
             "variant": ["with-coordination", "without-coordination"],
             "n": [6],
             "distinct_ids": [2, 3],
         },
-        repetitions=repetitions,
+        repetitions=12 if quick else 40,
         base_seed=seed,
     )
-    rows = engine.sweep(_run_one, sweep)
+    return [(_spec, sweep)]
+
+
+def summarise(rows: list[dict]) -> ExperimentResult:
     aggregated = aggregate_rows(
         rows,
         group_by=["variant", "distinct_ids"],
@@ -100,3 +100,7 @@ def _rate(rows, key):
 def _mean_rounds(rows):
     values = [row["rounds"] for row in rows if row["rounds"] is not None]
     return sum(values) / len(values) if values else None
+
+
+#: Run the ablation and return the aggregated comparison.
+run = Experiment(grid, summarise)

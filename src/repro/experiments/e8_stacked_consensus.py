@@ -19,21 +19,22 @@ consensus algorithm queries, so no oracle is needed.
 from __future__ import annotations
 
 from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, execute_spec, minority, partial_sync, scenario
+from ..runtime import ScenarioSpec, minority, partial_sync, scenario
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
 DESCRIPTION = "Consensus with no oracle: Figure 6 HΩ implementation stacked under Figure 8"
 
 
-def _run_one(config: dict) -> dict:
+def _spec(config: dict) -> ScenarioSpec:
     gst = config["gst"]
     # Figure 8 sends each consensus message exactly once and therefore needs
     # reliable links (the HAS model).  The stacked configuration keeps links
     # eventually timely but loss-free: messages sent before GST may be delayed
     # arbitrarily, never dropped.  (The Figure 6 detector underneath tolerates
     # loss because it re-polls forever, but the consensus layer does not.)
-    spec = (
+    return (
         scenario("E8")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
@@ -53,24 +54,9 @@ def _run_one(config: dict) -> dict:
         .seed(config["seed"])
         .build()
     )
-    metrics = execute_spec(spec).metrics
-    return {
-        "decided": metrics["decided"],
-        "safe": metrics["safe"],
-        "decision_time": metrics["decision_time"],
-        "decision_after_gst": (
-            metrics["decision_time"] - gst
-            if metrics["decision_time"] is not None
-            else None
-        ),
-        "rounds": metrics["rounds"],
-        "broadcasts": metrics["broadcasts"],
-    }
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E8 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def grid(quick: bool, seed: int) -> Grid:
     if quick:
         parameters = {
             "n": [5],
@@ -85,8 +71,19 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "gst": [10.0, 30.0, 80.0],
         }
         repetitions = 3
-    sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
+    return [(_spec, ParameterSweep(parameters, repetitions=repetitions, base_seed=seed))]
+
+
+def summarise(rows: list[dict]) -> ExperimentResult:
+    rows = [
+        {
+            **row,
+            "decision_after_gst": (
+                row["decision_time"] - row["gst"] if row["decision_time"] is not None else None
+            ),
+        }
+        for row in rows
+    ]
     aggregated = aggregate_rows(
         rows,
         group_by=["n", "distinct_ids", "gst"],
@@ -114,3 +111,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "rounds",
         ),
     )
+
+
+#: Run the E8 sweep and return the aggregated result.
+run = Experiment(grid, summarise)

@@ -25,7 +25,8 @@ Three claims are visible in the table:
 from __future__ import annotations
 
 from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, composed, lossy, partitioned, scenario
+from ..runtime import ScenarioSpec, composed, lossy, partitioned, scenario
+from .grid import Experiment, Grid
 
 __all__ = ["run"]
 
@@ -45,7 +46,7 @@ def _partition_window(kind: str) -> dict | None:
     return {"start": _PARTITION_START, "end": end, "groups": _BLOCKS}
 
 
-def _run_one(config: dict) -> dict:
+def _spec(config: dict) -> ScenarioSpec:
     stages = []
     if config["loss"] > 0.0:
         stages.append(lossy(config["loss"]))
@@ -64,14 +65,10 @@ def _run_one(config: dict) -> dict:
     if stages:
         build = build.network(stages[0] if len(stages) == 1 else composed(*stages))
         build = build.adversarial()
-    row = dict(Engine().run(build.build()).metrics)
-    row["degraded"] = bool(stages)
-    return row
+    return build.build()
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E9 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def grid(quick: bool, seed: int) -> Grid:
     if quick:
         parameters = {
             "loss": [0.0, 0.1, 0.3],
@@ -86,15 +83,17 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "stabilization": [10.0, 60.0, 90.0],
         }
         repetitions = 4
-    sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
+    return [(_spec, ParameterSweep(parameters, repetitions=repetitions, base_seed=seed))]
+
+
+def summarise(rows: list[dict]) -> ExperimentResult:
     aggregated = aggregate_rows(
         rows,
         group_by=["loss", "partition", "stabilization"],
         metrics=["decided", "safe", "decision_time", "broadcasts"],
     )
-    baseline = [row for row in rows if not row["degraded"]]
-    degraded = [row for row in rows if row["degraded"]]
+    baseline = [row for row in rows if not _degraded(row)]
+    degraded = [row for row in rows if _degraded(row)]
     healed_late_stab = [
         row
         for row in rows
@@ -133,7 +132,16 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
     )
 
 
+def _degraded(config: dict) -> bool:
+    """Whether the run's links were lossy or partitioned at all."""
+    return config["loss"] > 0.0 or config["partition"] != "none"
+
+
 def _success_rate(rows: list[dict]) -> float | None:
     if not rows:
         return None
     return sum(1 for row in rows if row["decided"]) / len(rows)
+
+
+#: Run the E9 sweep and return the aggregated result.
+run = Experiment(grid, summarise)

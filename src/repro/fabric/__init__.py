@@ -4,13 +4,12 @@ The paper's tables are statistics over large seed sweeps; one warm pool made
 a single host fast, and this package makes *many* processes (and, later,
 many hosts) routine.  Four pieces, each usable on its own:
 
-* :mod:`~repro.fabric.plan` — the **deterministic shard planner**: enumerate
-  every work item of a registered experiment (or a raw
-  :class:`~repro.analysis.runner.ParameterSweep`) *without executing any of
-  it*, assign global input-order indices, and partition the item list into
-  JSON chunk manifests.  Items are keyed exactly like the
-  :class:`~repro.runtime.cache.RunCache` (``(canonical-spec-hash, seed)`` for
-  declarative specs, function-name + canonical config for sweep functions),
+* :mod:`~repro.fabric.plan` — the **deterministic shard planner**: expand
+  the declared spec grid of a registered experiment (or any
+  ``[(make_spec, sweep), ...]`` grid) *without executing any of it*, assign
+  global input-order indices, and partition the item list into JSON chunk
+  manifests.  Every item is a spec keyed exactly like the
+  :class:`~repro.runtime.cache.RunCache` (``(canonical-spec-hash, seed)``),
   so the plan, the cache, and the workers all speak the same key space;
 * :mod:`~repro.fabric.coordinator` — the **coordinator**: fan chunks out to
   worker subprocesses over a transport-agnostic length-prefixed JSON protocol
@@ -22,10 +21,10 @@ many hosts) routine.  Four pieces, each usable on its own:
   order, crashes, or restarts;
 * **resume** — a restarted coordinator re-plans, re-reads its shard journals
   and the shared :class:`RunCache`, skips every item already completed, and
-  finishes the sweep idempotently.  Determinism digests travel with every
-  result (captured in the worker, stored in the journal and the cache), so
-  even a run resumed three crashes deep still proves itself bit-identical to
-  serial execution;
+  finishes the sweep idempotently.  Every result is a run record carrying
+  its determinism digest (in the journal and the cache alike), so even a run
+  resumed three crashes deep still proves itself bit-identical to serial
+  execution;
 * :mod:`~repro.fabric.adaptive` — **adaptive seed allocation**: run seeds in
   waves, compute a per-cell confidence interval on the target metric
   (normal approximation, bootstrap fallback at small n), retire a cell once
@@ -47,7 +46,7 @@ plan in-process (no coordinator), for job arrays and ssh loops.
 from .adaptive import AdaptiveReport, CellStats, adaptive_sweep, confidence_interval
 from .coordinator import Coordinator, FabricResult
 from .digests import CORE_EXPERIMENTS, fold_digests, fold_named
-from .plan import FabricPlan, PlanningEngine, WorkItem, plan_experiments, plan_sweep
+from .plan import FabricPlan, WorkItem, plan_experiments, plan_grid
 from .work import execute_item
 
 __all__ = [
@@ -61,9 +60,8 @@ __all__ = [
     "fold_digests",
     "fold_named",
     "FabricPlan",
-    "PlanningEngine",
     "WorkItem",
     "plan_experiments",
-    "plan_sweep",
+    "plan_grid",
     "execute_item",
 ]

@@ -20,8 +20,9 @@ converge in — so two adaptive runs with the same inputs execute the same
 seeds, produce identical rows, and the per-run outcomes are ordinary cache
 hits for any fixed sweep (or fabric run) that covered the same cells.
 
-Dispatch goes through a normal :class:`~repro.runtime.engine.Engine`, so a
-wave fans out across the warm pool (``Engine(jobs=N)``) or is served from a
+Each wave is one :meth:`~repro.runtime.engine.Engine.run_sweep` of the
+caller's ``make_spec`` over the wave's configs, so it fans out across the
+warm pool (``Engine(jobs=N)``) or is served from a
 :class:`~repro.runtime.cache.RunCache` like any other sweep.
 """
 
@@ -35,6 +36,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..errors import ReproError
 from ..runtime.engine import Engine
+from ..runtime.spec import ScenarioSpec
 
 __all__ = ["AdaptiveError", "CellStats", "AdaptiveReport", "adaptive_sweep", "confidence_interval"]
 
@@ -151,7 +153,7 @@ class AdaptiveReport:
 
 
 def adaptive_sweep(
-    run_one: Callable[[dict], Mapping[str, Any]],
+    make_spec: Callable[[dict], ScenarioSpec],
     cells: Iterable[Mapping[str, Any]],
     *,
     metric: str,
@@ -165,11 +167,12 @@ def adaptive_sweep(
     rel_tol: float | None = None,
     confidence: float = 0.95,
 ) -> AdaptiveReport:
-    """Run ``run_one`` over the cells with CI-based early stopping.
+    """Run ``make_spec``'s scenarios over the cells with CI-based early stopping.
 
-    ``cells`` are seedless config dicts (the grid axes); ``run_one`` is a
-    module-level function as for :meth:`Engine.sweep`, receiving each cell's
-    config with ``seed`` filled in.  A cell converges when its half-width is
+    ``cells`` are seedless config dicts (the grid axes); ``make_spec`` turns
+    each cell's config, with ``seed`` filled in, into a spec, exactly as for
+    :meth:`Engine.run_sweep`, and ``metric`` names a key of the resulting
+    rows (the config merged with the record's metrics).  A cell converges when its half-width is
     ``≤ abs_tol`` and/or ``≤ rel_tol·|mean|`` (whichever are given; at least
     one is required).  ``budget`` caps total runs across all cells (default:
     the fixed grid's ``cells × max_seeds_per_cell``, i.e. no extra cap).
@@ -216,7 +219,7 @@ def adaptive_sweep(
                 configs.append({**cell.cell, "seed": seed})
                 owners.append(cell)
                 cell.seeds_used += 1
-        rows = engine.sweep(run_one, configs)
+        rows = engine.run_sweep(make_spec, configs)
         total_runs += len(configs)
         for cell, row in zip(owners, rows):
             value = row.get(metric)

@@ -128,13 +128,6 @@ class FabricResult:
     def partial(self) -> bool:
         return bool(self.quarantined)
 
-    @property
-    def digests_complete(self) -> bool:
-        """Whether every item's digest record survived (see work.py)."""
-        return not self.quarantined and all(
-            result.digests_complete for result in self.results
-        )
-
     def experiment_digests(self) -> dict[str, str]:
         """Per-experiment folded digests, in the serial capture order.
 
@@ -146,11 +139,7 @@ class FabricResult:
         digests = {}
         for name, (start, end) in spans.items():
             if all(index in by_index for index in range(start, end)):
-                folded = fold_digests(
-                    digest
-                    for index in range(start, end)
-                    for digest in by_index[index].digests
-                )
+                folded = fold_digests(by_index[index].digest for index in range(start, end))
                 digests[name] = f"{folded:016x}"
         return digests
 
@@ -403,7 +392,7 @@ class Coordinator:
         results = [
             have[item.index] for item in self.plan.items if item.index in have
         ]
-        for source in ("fresh", "run-cache", "fabric-cache"):
+        for source in ("fresh", "run-cache"):
             stats[source.replace("-", "_")] = sum(
                 1 for result in results if result.source == source
             )

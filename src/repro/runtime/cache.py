@@ -4,17 +4,13 @@ Repeated and resumed sweeps are a fact of life at paper scale: the same quick
 configurations are re-run on every CLI invocation, a full sweep interrupted
 half-way is restarted from zero, and regenerating one table re-executes eight
 others.  :class:`RunCache` memoizes completed runs on content-derived keys so
-all of that recompute collapses into file reads:
-
-* declarative runs (``Engine.run`` / ``run_many`` / ``run_sweep``) key on
-  ``(canonical-spec-hash, seed)`` — see
-  :func:`~repro.runtime.spec.canonical_spec_hash`.  Editing *any* part of a
-  scenario changes its hash, so stale entries can never be served; a new seed
-  is simply a new key;
-* custom sweep functions (``Engine.sweep``) key on the function's qualified
-  name plus the canonical JSON of its config (which carries the seed).  The
-  function is assumed to be a pure function of its config — the same contract
-  parallel dispatch already requires.
+all of that recompute collapses into file reads.  Every run is a
+:class:`~repro.runtime.spec.ScenarioSpec`, and one entry is one
+:class:`~repro.runtime.engine.RunRecord` keyed on ``(canonical-spec-hash,
+seed)`` — see :func:`~repro.runtime.spec.canonical_spec_hash`.  Editing *any*
+part of a scenario changes its hash, so stale entries can never be served; a
+new seed is simply a new key.  The record carries its determinism digest, so
+a cache hit reproduces a digest manifest as well as a table.
 
 Entries are one JSON file each, written atomically (temp file +
 ``os.replace``), so concurrent engines — including worker processes of two
@@ -27,11 +23,10 @@ run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from ..retry import RetryExhaustedError, RetryPolicy, retry_call
 
@@ -45,12 +40,6 @@ _SCHEMA = "run-cache/1"
 #: decorrelated jitter before giving up.  Kept short — a cache write is
 #: best-effort and must never stall a sweep.
 _PUT_RETRY = RetryPolicy(base=0.01, cap=0.1, max_attempts=3, deadline=1.0)
-
-
-def _function_key(fn: Callable[..., Any]) -> str:
-    module = getattr(fn, "__module__", "") or ""
-    qualname = getattr(fn, "__qualname__", repr(fn))
-    return f"{module}.{qualname}"
 
 
 class RunCache:
@@ -74,55 +63,6 @@ class RunCache:
     def record_key(spec: Any) -> str:
         """Key for a declarative run: ``(canonical-spec-hash, seed)``."""
         return f"rec-{spec.canonical_hash()}-{int(spec.seed):08x}"
-
-    @staticmethod
-    def function_cacheable(fn: Callable[..., Any]) -> bool:
-        """Whether ``fn`` is identifiable by qualified name alone.
-
-        Lambdas and functions defined inside other functions share ambiguous
-        qualnames (``<lambda>``, ``…<locals>…``): two different such
-        functions would collide on the same key and silently serve each
-        other's cached outcomes, so they are never cached (module-level
-        functions — the only kind the pool executors accept anyway — are).
-        """
-        qualname = getattr(fn, "__qualname__", "")
-        return bool(qualname) and "<lambda>" not in qualname and "<locals>" not in qualname
-
-    @staticmethod
-    def outcome_key(fn: Callable[..., Any], config: Mapping[str, Any]) -> str:
-        """Key for a custom sweep function applied to one config."""
-        return RunCache.outcome_key_named(_function_key(fn), config)
-
-    @staticmethod
-    def outcome_key_named(fn_name: str, config: Mapping[str, Any]) -> str:
-        """`outcome_key` from the function's dotted name instead of the object.
-
-        The fabric plans work as plain JSON — a chunk manifest names the sweep
-        function (``module.qualname``) rather than pickling it — so planner
-        and worker must derive the *same* key from the name alone.  Keeping
-        this as the single hashing path (``outcome_key`` delegates here)
-        guarantees a fabric worker's entry is a later engine run's hit and
-        vice versa.
-        """
-        text = json.dumps(
-            {"fn": fn_name, "config": dict(config)},
-            sort_keys=True,
-            separators=(",", ":"),
-            default=str,
-        )
-        return f"row-{hashlib.sha256(text.encode('utf-8')).hexdigest()}"
-
-    @staticmethod
-    def derived_key(namespace: str, base_key: str) -> str:
-        """A key in a private ``namespace`` derived from another key.
-
-        Lets a subsystem store its own enriched payload alongside the plain
-        entry without colliding with it (the fabric stores
-        ``{"row", "digests"}`` envelopes under ``derived_key("fab", item_key)``
-        while still populating the plain entry for ordinary engine runs).
-        """
-        digest = hashlib.sha256(base_key.encode("utf-8")).hexdigest()
-        return f"{namespace}-{digest}"
 
     # -- storage -------------------------------------------------------
     def _path(self, key: str) -> Path:

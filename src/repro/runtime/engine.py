@@ -1,4 +1,4 @@
-"""The execution engine: one spec, many specs, or whole parameter sweeps.
+"""The execution engine: every run is a spec, every sweep a spec grid.
 
 The :class:`Engine` is the single place where scenarios become runs.  It
 dispatches work through a pluggable executor
@@ -8,40 +8,35 @@ worker processes are spawned once and reused across every call) and returns
 structured :class:`RunRecord` objects, which it can also append to a JSONL
 log.
 
-Three entry points cover every workload in the repository:
-
-* :meth:`Engine.run` — execute one :class:`~repro.runtime.spec.ScenarioSpec`;
-* :meth:`Engine.run_many` / :meth:`Engine.run_sweep` — execute an iterable of
-  specs, or a :class:`~repro.analysis.runner.ParameterSweep` of configs turned
-  into specs by a ``make_spec`` function;
-* :meth:`Engine.sweep` — dispatch a custom ``run_one(config) -> dict``
-  function over a :class:`ParameterSweep` (what the experiment modules use
-  when their metric extraction goes beyond the generic record).
+There is one execution path.  :meth:`Engine.run` executes one
+:class:`~repro.runtime.spec.ScenarioSpec`; :meth:`Engine.run_many` an
+iterable of them; :meth:`Engine.run_sweep` turns every config of a
+:class:`~repro.analysis.runner.ParameterSweep` into a spec with a
+``make_spec`` function and returns the config merged with each record's
+metrics — the rows the experiments aggregate.  :meth:`Engine.map` is raw
+executor access for work that is not a simulation (it emits and caches
+nothing).
 
 Sweep-scale machinery, all opt-in:
 
-* **streaming** — ``run_many`` / ``run_sweep`` / ``sweep`` accept
-  ``stream=True`` and then return a lazy iterator that yields each result as
-  its dispatch chunk completes, *in input order* (so a consumer can fold,
-  plot, or persist incrementally while later chunks still run, and the final
-  table is deterministic regardless).  JSONL emission always flushes
-  incrementally as results become available, streaming or not;
+* **streaming** — ``run_many`` / ``run_sweep`` accept ``stream=True`` and
+  then return a lazy iterator that yields each result as its dispatch chunk
+  completes, *in input order* (so a consumer can fold, plot, or persist
+  incrementally while later chunks still run, and the final table is
+  deterministic regardless).  JSONL emission always flushes incrementally;
 * **run caching** — pass ``cache=`` a directory (or
   :class:`~repro.runtime.cache.RunCache`) and completed runs are memoized on
   ``(canonical-spec-hash, seed)``; repeated or resumed sweeps skip the
-  recompute and rehydrate the stored records, including their determinism
-  digests.  Custom ``sweep`` functions are keyed on function name + config;
+  recompute and rehydrate the stored records, digests included;
 * **lifecycle** — the Engine owns its executor: ``Engine(jobs=4)`` keeps one
   warm worker pool alive across calls until :meth:`Engine.close` (or the end
   of a ``with Engine(...) as engine:`` block).
 
-Everything a worker process receives is plain data or a module-level
-function, so the same call works serially and in parallel and produces
-identical rows for identical seeds.  Transport is *packed*: workers receive
-chunks of specs and return ``(metrics, digest)`` tuples; the parent — which
-already holds every spec — rehydrates full :class:`RunRecord` objects in
-input order, so the per-run config dict never crosses a process boundary
-twice.
+Transport is *packed*: workers receive chunks of specs and return
+``(metrics, digest)`` tuples; the parent — which already holds every spec —
+builds the full :class:`RunRecord` (and its ``config``, the spec's
+``to_dict()``) in input order, and serialises a record only when a JSONL
+file or a ``progress`` hook is there to receive it.
 """
 
 from __future__ import annotations
@@ -54,11 +49,8 @@ from ..analysis.metrics import consensus_metrics
 from ..analysis.runner import ParameterSweep, merge_row
 from ..consensus import validate_consensus
 from ..membership import Membership
-from ..sim import CompositeProgram, CrashSchedule, Simulation, TimingModel, build_system
-from ..sim import scheduler as _scheduler_module
+from ..sim import CompositeProgram, Simulation, build_system
 from ..sim.failures import FailurePattern
-from ..sim.links import LinkModel
-from ..sim.system import ProgramFactory
 from .cache import RunCache
 from .executors import Executor, executor_for
 from .registry import CHECKS, CONSENSUS, DETECTORS, PROGRAMS
@@ -68,8 +60,6 @@ __all__ = [
     "RunRecord",
     "Engine",
     "execute_spec",
-    "run_once",
-    "run_with_digest_capture",
     "distinct_proposals",
     "default_consensus_detectors",
 ]
@@ -96,10 +86,10 @@ def default_consensus_detectors(stabilization: float, *, noise_period: float | N
 class RunRecord:
     """The structured outcome of one run.
 
-    ``config`` echoes the input (a spec's ``to_dict`` or a sweep config) and
-    ``metrics`` holds the measured outcome; both are plain JSON-serializable
-    data, so records from serial and parallel runs compare equal and a JSONL
-    log line is just ``to_dict()``.
+    ``config`` echoes the input (the spec's ``to_dict()``) and ``metrics``
+    holds the measured outcome; both are plain JSON-serializable data, so
+    records from serial and parallel runs compare equal and a JSONL log line
+    is just ``to_dict()``.
 
     ``digest`` is the run's determinism digest (see
     :attr:`repro.sim.Simulation.digest`): a 64-bit hex fingerprint of the
@@ -144,91 +134,12 @@ class RunRecord:
         )
 
 
-def run_once(
-    *,
-    membership: Membership,
-    timing: TimingModel,
-    program_factory: ProgramFactory,
-    crash_schedule: CrashSchedule | None = None,
-    detectors: Mapping[str, Any] | None = None,
-    links: LinkModel | None = None,
-    proposals: Mapping[Any, Any] | None = None,
-    horizon: float = 500.0,
-    seed: int = 0,
-    expect_decisions: bool = True,
-    checks: Iterable[str] = (),
-    scenario: str = "",
-    config: Mapping[str, Any] | None = None,
-) -> RunRecord:
-    """Execute one fully-materialised configuration and measure the outcome.
+def _measure(spec: ScenarioSpec) -> tuple[dict, str]:
+    """Execute one scenario and return ``(metrics, digest)``.
 
-    This is the shared execution path under :func:`execute_spec` and the
-    legacy ``run_consensus_once`` shim: build the system, run the simulation
-    (stopping early once every correct process has decided, when decisions
-    are expected), validate, and collect metrics.
-    """
-    schedule = crash_schedule or CrashSchedule.none()
-    system = build_system(
-        membership=membership,
-        timing=timing,
-        program_factory=program_factory,
-        crash_schedule=schedule,
-        detectors=dict(detectors or {}),
-        links=links,
-        seed=seed,
-        name=scenario,
-    )
-    simulation = Simulation(system)
-    if expect_decisions:
-        trace = simulation.run(
-            until=horizon, stop_when=lambda sim: sim.all_correct_decided()
-        )
-    else:
-        trace = simulation.run(until=horizon)
-    pattern = FailurePattern(membership, schedule)
-
-    metrics: dict[str, Any] = {}
-    if expect_decisions:
-        verdict = validate_consensus(
-            trace, pattern, dict(proposals or {}), require_termination=False
-        )
-        measured = consensus_metrics(trace, pattern, verdict)
-        metrics.update(
-            {
-                "decided": measured.decided,
-                "safe": measured.safe,
-                "decision_time": measured.last_decision_time,
-                "rounds": measured.max_decision_round,
-                "broadcasts": measured.broadcasts,
-                "message_copies": measured.message_copies,
-            }
-        )
-    for check in checks:
-        result = CHECKS.resolve(check)(trace, pattern)
-        metrics[f"{check}_ok"] = result.ok
-        metrics[f"{check}_time"] = result.stabilization_time
-        # Checks may publish extra measurements (detection latency, message
-        # counts, false suspicions, …) under details["metrics"]; fold them in
-        # namespaced by the check, mirroring the _ok/_time keys.
-        extra = result.details.get("metrics") if result.details else None
-        if isinstance(extra, Mapping):
-            for key, value in extra.items():
-                metrics[f"{check}_{key}"] = value
-    return RunRecord(
-        scenario=scenario,
-        seed=seed,
-        config=config or {},
-        metrics=metrics,
-        digest=simulation.digest,
-    )
-
-
-def execute_spec(spec: ScenarioSpec) -> RunRecord:
-    """Materialise and execute one declarative scenario.
-
-    Module-level on purpose: the pool executors pickle this function by
-    reference and the spec by value, so a sweep of specs fans out over worker
-    processes with no extra machinery.
+    The worker entry point: module-level so the pool executors pickle it by
+    reference and the spec by value.  Only the measured outcome comes back
+    over the pipe; the parent already holds the spec and builds the record.
     """
     if spec.backend == "real":
         # The asyncio/TCP backend: the same program objects as real OS
@@ -236,14 +147,15 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
         # acyclicity reason as the KV runner below.
         from ..transport.orchestrator import execute_real_spec
 
-        return execute_real_spec(spec)
+        record = execute_real_spec(spec)
+        return dict(record.metrics), record.digest
     if spec.kv is not None:
         # The KV service workload has its own materialisation (replica group
         # + client processes); imported lazily to keep the import graph
-        # acyclic (the KV runner imports RunRecord from this module).
-        from ..workloads.kv.runner import execute_kv_spec
+        # acyclic (the KV runner resolves consensus entries in the registry).
+        from ..workloads.kv.runner import measure_kv_spec
 
-        return execute_kv_spec(spec)
+        return measure_kv_spec(spec)
     membership = spec.membership.build()
     proposals = distinct_proposals(membership) if spec.consensus else None
 
@@ -278,84 +190,82 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
             )
         return programs[0] if len(programs) == 1 else CompositeProgram(*programs)
 
-    detectors = {
-        detector.name: DETECTORS.resolve(detector.name)(detector.params)
-        for detector in spec.detectors
-    }
-    return run_once(
+    schedule = spec.crashes.build(membership)
+    system = build_system(
         membership=membership,
         timing=spec.timing.build(),
         program_factory=factory,
-        crash_schedule=spec.crashes.build(membership),
-        detectors=detectors,
+        crash_schedule=schedule,
+        detectors={
+            detector.name: DETECTORS.resolve(detector.name)(detector.params)
+            for detector in spec.detectors
+        },
         links=None if spec.network.is_reliable else spec.network.build(),
-        proposals=proposals,
-        horizon=spec.horizon,
         seed=spec.seed,
-        expect_decisions=spec.consensus is not None,
-        checks=spec.checks,
-        scenario=spec.name,
-        config=spec.to_dict(),
+        name=spec.name,
     )
+    simulation = Simulation(system)
+    if proposals is not None:
+        # Stop as soon as every correct process has decided.
+        trace = simulation.run(
+            until=spec.horizon, stop_when=lambda sim: sim.all_correct_decided()
+        )
+    else:
+        trace = simulation.run(until=spec.horizon)
+    pattern = FailurePattern(membership, schedule)
+
+    metrics: dict[str, Any] = {}
+    if proposals is not None:
+        verdict = validate_consensus(trace, pattern, proposals, require_termination=False)
+        measured = consensus_metrics(trace, pattern, verdict)
+        metrics.update(
+            {
+                "decided": measured.decided,
+                "safe": measured.safe,
+                "decision_time": measured.last_decision_time,
+                "rounds": measured.max_decision_round,
+                "broadcasts": measured.broadcasts,
+                "message_copies": measured.message_copies,
+            }
+        )
+    for check in spec.checks:
+        result = CHECKS.resolve(check)(trace, pattern)
+        metrics[f"{check}_ok"] = result.ok
+        metrics[f"{check}_time"] = result.stabilization_time
+        metrics[f"{check}_violations"] = len(result.violations)
+        # Checks may publish extra measurements (detection latency, message
+        # counts, false suspicions, …) under details["metrics"]; fold them in
+        # namespaced by the check, mirroring the _ok/_time keys.
+        extra = result.details.get("metrics") if result.details else None
+        if isinstance(extra, Mapping):
+            for key, value in extra.items():
+                metrics[f"{check}_{key}"] = value
+    return metrics, simulation.digest
 
 
-def _execute_spec_packed(spec: ScenarioSpec) -> tuple[dict, str]:
-    """Worker entry point with compact transport: ``(metrics, digest)``.
-
-    The parent already holds the spec, so echoing ``scenario``/``seed``/the
-    full config dict back over the pipe per run is pure pickle overhead —
-    only the measured outcome crosses the process boundary.  The parent
-    rehydrates the full :class:`RunRecord` (in input order).
-    """
-    record = execute_spec(spec)
-    return dict(record.metrics), record.digest
-
-
-def _rehydrate_record(spec: ScenarioSpec, packed: tuple[dict, str]) -> RunRecord:
-    metrics, digest = packed
+def _record(spec: ScenarioSpec, metrics: Mapping[str, Any], digest: str) -> RunRecord:
     return RunRecord(
-        scenario=spec.name,
-        seed=spec.seed,
-        config=spec.to_dict(),
-        metrics=metrics,
-        digest=digest,
+        scenario=spec.name, seed=spec.seed, config=spec.to_dict(), metrics=metrics, digest=digest
     )
 
 
-def run_with_digest_capture(task: "tuple[Callable[[Any], Any], Any]") -> tuple[Any, list[int]]:
-    """Apply ``fn`` to ``item``, also returning the digests of every
-    :class:`~repro.sim.Simulation` the call completed.
-
-    ``task`` is a ``(fn, item)`` pair so the whole thing is picklable and can
-    be dispatched through any executor; the digests come back *with the
-    result*, in execution order, which is what lets a digest manifest compare
-    serial, warm-pool, and cold-pool sweeps bit for bit (a parent-side
-    monkeypatch never reaches a ``spawn``-started worker).
-    """
-    fn, item = task
-    previous = _scheduler_module.DIGEST_SINK
-    _scheduler_module.DIGEST_SINK = sink = []
-    try:
-        result = fn(item)
-    finally:
-        _scheduler_module.DIGEST_SINK = previous
-    return result, sink
+def execute_spec(spec: ScenarioSpec) -> RunRecord:
+    """Materialise and execute one declarative scenario, in this process."""
+    return _record(spec, *_measure(spec))
 
 
 class Engine:
-    """Executes scenarios and sweeps through a pluggable executor.
+    """Executes scenarios and spec sweeps through a pluggable executor.
 
     ``Engine(jobs=N)`` owns a persistent warm
-    :class:`~repro.runtime.executors.WorkerPool` (``pool="cold"`` selects the
-    per-call :class:`~repro.runtime.executors.ParallelExecutor` instead) and
-    is reusable across any number of ``run``/``run_many``/``run_sweep``
-    calls; close it explicitly or use it as a context manager.
-    ``chunk_multiplier`` tunes dispatch granularity (chunks per worker per
-    call, ≥ 1).  ``cache`` (a directory path or
-    :class:`~repro.runtime.cache.RunCache`) memoizes completed runs; see the
-    module docstring.  ``progress`` is called with every emitted payload
-    (record dict or row) as it completes, in order — the hook behind the
-    CLI's ``--stream``.
+    :class:`~repro.runtime.executors.WorkerPool` and is reusable across any
+    number of ``run``/``run_many``/``run_sweep`` calls; close it explicitly
+    or use it as a context manager.  ``chunk_multiplier`` tunes dispatch
+    granularity (chunks per worker per call, ≥ 1).  ``cache`` (a directory
+    path or :class:`~repro.runtime.cache.RunCache`) memoizes completed runs;
+    see the module docstring.  ``progress`` is called with every record's
+    ``to_dict()`` as it completes, in order — the hook behind the CLI's
+    ``--stream``.
     """
 
     def __init__(
@@ -364,17 +274,14 @@ class Engine:
         *,
         jobs: int | None = None,
         chunk_multiplier: int | None = None,
-        pool: str = "warm",
         jsonl_path: str | None = None,
         cache: RunCache | str | None = None,
         progress: Callable[[Mapping[str, Any]], None] | None = None,
     ) -> None:
-        if executor is not None and (
-            jobs is not None or chunk_multiplier is not None or pool != "warm"
-        ):
-            raise ValueError("pass either an executor or jobs/chunk_multiplier/pool, not both")
+        if executor is not None and (jobs is not None or chunk_multiplier is not None):
+            raise ValueError("pass either an executor or jobs/chunk_multiplier, not both")
         self.executor: Executor = executor or executor_for(
-            jobs, chunk_multiplier=chunk_multiplier, pool=pool
+            jobs, chunk_multiplier=chunk_multiplier
         )
         self.jsonl_path = jsonl_path
         self.cache = RunCache.coerce(cache)
@@ -385,7 +292,7 @@ class Engine:
         """Release the executor's resources (idempotent).
 
         For a warm :class:`WorkerPool` this shuts the worker processes down;
-        serial and cold executors hold nothing between calls.
+        the serial executor holds nothing between calls.
         """
         closer = getattr(self.executor, "close", None)
         if closer is not None:
@@ -439,118 +346,31 @@ class Engine:
         return iterator if stream else list(iterator)
 
     def _iter_records(self, specs: list[ScenarioSpec]) -> Iterator[RunRecord]:
-        """Yield one record per spec, in input order, as results arrive."""
+        """Yield one record per spec, in input order, as results arrive.
 
-        def from_fresh(spec: ScenarioSpec, packed: tuple[dict, str]) -> RunRecord:
-            record = _rehydrate_record(spec, packed)
-            self._cache_put_record(spec, record)
-            return record
-
-        return self._iter_ordered(
-            specs,
-            _execute_spec_packed,
-            get_cached=self._cache_get_record,
-            from_fresh=from_fresh,
-            emit_of=RunRecord.to_dict,
-        )
-
-    # -- custom per-config functions -----------------------------------
-    def sweep(
-        self,
-        run_one: Callable[[dict], Mapping[str, Any]],
-        sweep: ParameterSweep | Iterable[Mapping[str, Any]],
-        *,
-        stream: bool = False,
-    ) -> "list[dict] | Iterator[dict]":
-        """Dispatch ``run_one`` over every config of a sweep.
-
-        ``run_one`` must be a module-level function (picklable) returning a
-        metrics mapping, and a pure function of its config; rows come back in
-        sweep order regardless of the executor, so parallel runs reproduce
-        serial ones exactly.  With ``stream=True`` rows are yielded lazily as
-        chunks complete.  When a cache is attached, outcomes are memoized on
-        the function's qualified name plus the canonical config (which
-        carries the seed); lambdas and nested functions are run but never
-        cached — their qualnames are ambiguous, so two different ones could
-        serve each other's entries.
+        Cache hits are resolved up front; only the misses are dispatched.
+        Because the executors' ``imap`` yields in input order, a record is
+        emitted and yielded the moment it is contiguous with everything
+        already yielded: streaming without giving up a deterministic output
+        order.
         """
-        configs = [dict(config) for config in sweep]
-        iterator = self._iter_rows(run_one, configs)
-        return iterator if stream else list(iterator)
-
-    def _iter_rows(
-        self, run_one: Callable[[dict], Mapping[str, Any]], configs: list[dict]
-    ) -> Iterator[dict]:
-        """Yield one merged row per config, in input order, as results arrive."""
-
-        def get_cached(config: dict) -> dict | None:
-            outcome = self._cache_get_outcome(run_one, config)
-            return None if outcome is None else merge_row(config, outcome)
-
-        def from_fresh(config: dict, outcome: Mapping[str, Any]) -> dict:
-            self._cache_put_outcome(run_one, config, outcome)
-            return merge_row(config, outcome)
-
-        # Copies go to run_one so a mutating run_one cannot corrupt the rows
-        # (which would also make serial and parallel runs diverge).
-        return self._iter_ordered(
-            configs,
-            run_one,
-            to_task=dict,
-            get_cached=get_cached,
-            from_fresh=from_fresh,
-            emit_of=lambda row: row,
-        )
-
-    def _iter_ordered(
-        self,
-        items: list,
-        worker: Callable[[Any], Any],
-        *,
-        get_cached: Callable[[Any], Any],
-        from_fresh: Callable[[Any, Any], Any],
-        emit_of: Callable[[Any], Mapping[str, Any]],
-        to_task: Callable[[Any], Any] | None = None,
-    ) -> Iterator[Any]:
-        """The ordered streaming-with-cache core under records and rows.
-
-        Cache hits are resolved up front (``get_cached`` returns the final
-        value, or ``None`` for a miss); only the misses are dispatched, and
-        each raw result is turned into its final value by ``from_fresh``
-        (which also stores it).  Because the executors' ``imap`` yields in
-        input order, a value is emitted — ``self._emit(emit_of(value))`` —
-        and yielded the moment it is contiguous with everything already
-        yielded: streaming without sacrificing determinism of the output
-        order.  ``to_task`` maps an item to what is actually shipped to the
-        worker (e.g. a defensive copy).
-        """
-        values: list[Any] = [None] * len(items)
-        done = [False] * len(items)
-        pending: list[Any] = []
-        pending_indices: list[int] = []
-        for index, item in enumerate(items):
-            value = get_cached(item)
-            if value is not None:
-                values[index] = value
-                done[index] = True
-            else:
-                pending.append(item if to_task is None else to_task(item))
-                pending_indices.append(index)
-
+        records: list[RunRecord | None] = [self._cache_get(spec) for spec in specs]
+        pending = [index for index, record in enumerate(records) if record is None]
         cursor = 0
 
-        def drain() -> Iterator[Any]:
+        def drain() -> Iterator[RunRecord]:
             nonlocal cursor
-            while cursor < len(items) and done[cursor]:
-                value = values[cursor]
+            while cursor < len(records) and records[cursor] is not None:
+                record = records[cursor]
                 cursor += 1
-                self._emit(emit_of(value))
-                yield value
+                if self.jsonl_path or self.progress is not None:
+                    self._emit(record)
+                yield record
 
-        for offset, raw in enumerate(self._dispatch(worker, pending)):
-            index = pending_indices[offset]
-            values[index] = from_fresh(items[index], raw)
-            done[index] = True
+        outcomes = self._dispatch(_measure, [specs[index] for index in pending])
+        for index, (metrics, digest) in zip(pending, outcomes):
+            record = records[index] = _record(specs[index], metrics, digest)
+            self._cache_put(specs[index], record)
             yield from drain()
         yield from drain()
 
@@ -568,7 +388,7 @@ class Engine:
             return imap(fn, items)
         return iter(self.executor.map(fn, items))
 
-    def _cache_get_record(self, spec: ScenarioSpec) -> RunRecord | None:
+    def _cache_get(self, spec: ScenarioSpec) -> RunRecord | None:
         # Real-backend runs are wall-clock measurements: two runs of the same
         # spec are *supposed* to differ, so memoizing one would silently turn
         # a latency distribution into one frozen sample.  Sim runs only.
@@ -577,24 +397,12 @@ class Engine:
         payload = self.cache.get(RunCache.record_key(spec))
         return None if payload is None else RunRecord.from_dict(payload)
 
-    def _cache_put_record(self, spec: ScenarioSpec, record: RunRecord) -> None:
+    def _cache_put(self, spec: ScenarioSpec, record: RunRecord) -> None:
         if self.cache is not None and spec.backend == "sim":
             self.cache.put(RunCache.record_key(spec), record.to_dict())
 
-    def _cache_get_outcome(
-        self, run_one: Callable, config: Mapping[str, Any]
-    ) -> Mapping[str, Any] | None:
-        if self.cache is None or not RunCache.function_cacheable(run_one):
-            return None
-        return self.cache.get(RunCache.outcome_key(run_one, config))
-
-    def _cache_put_outcome(
-        self, run_one: Callable, config: Mapping[str, Any], outcome: Mapping[str, Any]
-    ) -> None:
-        if self.cache is not None and RunCache.function_cacheable(run_one):
-            self.cache.put(RunCache.outcome_key(run_one, config), outcome)
-
-    def _emit(self, payload: Mapping[str, Any]) -> None:
+    def _emit(self, record: RunRecord) -> None:
+        payload = record.to_dict()
         if self.jsonl_path:
             with open(self.jsonl_path, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps(payload, sort_keys=True, default=str) + "\n")

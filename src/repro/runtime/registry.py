@@ -36,6 +36,7 @@ from ..detectors import (
     AOmegaOracle,
     APOracle,
     ASigmaOracle,
+    CheckResult,
     DiamondHPOracle,
     DiamondPOracle,
     HOmegaOracle,
@@ -56,7 +57,17 @@ from ..detectors import (
     check_sigma,
 )
 from ..errors import ConfigurationError
+from ..identity import IdentityMultiset
 from ..membership import Membership
+from ..reductions import (
+    APToDiamondHP,
+    APToHSigma,
+    ASigmaToHSigma,
+    DiamondHPToHOmega,
+    HSigmaToSigma,
+    SigmaToHSigmaUnknownMembership,
+    SigmaToHSigmaWithMembership,
+)
 from ..sim.links import (
     AsymmetricLinks,
     ComposedLinks,
@@ -390,6 +401,30 @@ register_program(
 )
 
 
+def _build_sigma_to_hsigma_known(params: Mapping[str, Any]):
+    """Figure 1 knows ``I(Π)`` up front: ``identities`` lists it as data."""
+    params = dict(params)
+    identities = IdentityMultiset(params.pop("identities"))
+    return SigmaToHSigmaWithMembership(identities, **params)
+
+
+# The reductions between detector classes (Figures 1, 2, 4; Theorem 3;
+# Lemmas 2-3; Observation 1): each emulates its target class over an oracle
+# of the source class, so E3 is a grid of ordinary specs.
+for _name, _build, _item in (
+    ("sigma_to_hsigma_known", _build_sigma_to_hsigma_known, "Figure 1 (Σ → HΣ, known membership)"),
+    ("sigma_to_hsigma", lambda params: SigmaToHSigmaUnknownMembership(**params),
+     "Figure 2 (Σ → HΣ, unknown membership)"),
+    ("hsigma_to_sigma", lambda params: HSigmaToSigma(**params), "Figure 4 (HΣ → Σ)"),
+    ("asigma_to_hsigma", lambda params: ASigmaToHSigma(**params), "Theorem 3 (AΣ → HΣ)"),
+    ("ap_to_diamond_hp", lambda params: APToDiamondHP(**params), "Lemma 2 (AP → ◇HP)"),
+    ("ap_to_hsigma", lambda params: APToHSigma(**params), "Lemma 3 (AP → HΣ)"),
+    ("diamond_hp_to_homega", lambda params: DiamondHPToHOmega(**params),
+     "Observation 1 (◇HP → HΩ)"),
+):
+    register_program(_name, _build, paper_item=_item)
+
+
 def _build_membership_program(params: Mapping[str, Any]):
     """Lazy import: the churn program is only needed for churn scenarios."""
     from ..algorithms.membership import ClusterMembershipProgram
@@ -446,6 +481,22 @@ def _check_membership_churn(trace, pattern):
 
 
 register_check("membership_churn", _check_membership_churn)
+
+def _check_ohp_timeout(trace, pattern):
+    """Publish the largest final ``ohp.timeout`` among the correct processes.
+
+    Not a property (it always passes): E1 reports how far the Figure 6
+    adaptive timeout grew, as ``ohp_timeout_final``.
+    """
+    timeouts = [
+        value
+        for value in (trace.final_value(process, "ohp.timeout") for process in pattern.correct)
+        if value is not None
+    ]
+    return CheckResult(ok=True, details={"metrics": {"final": max(timeouts) if timeouts else None}})
+
+
+register_check("ohp_timeout", _check_ohp_timeout)
 
 for _name, _checker in (
     ("diamond_p", check_diamond_p),

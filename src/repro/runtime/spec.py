@@ -6,8 +6,8 @@ stack, the workload (a consensus algorithm, a detector implementation, or both
 stacked), property checks, the horizon, and the seed.  Because every part is
 data — not callables — a spec can be serialized (``to_dict``/``from_dict``
 round-trip exactly), shipped to a worker process by the
-:class:`~repro.runtime.engine.ParallelExecutor`, stored in JSONL run logs, and
-diffed between experiments.
+:class:`~repro.runtime.executors.WorkerPool` or a fabric worker, stored in
+JSONL run logs, and diffed between experiments.
 
 Specs are usually built with the fluent
 :func:`~repro.runtime.builder.scenario` builder, which also validates the

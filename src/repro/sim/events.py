@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import warnings
 from typing import Callable, Sequence
 
 from ..errors import SchedulingError
@@ -136,22 +135,6 @@ class Event:
     def run(self) -> None:
         """Execute the event's action with its arguments."""
         self.action(*self.args)
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; the queue will skip it.
-
-        .. deprecated::
-            Calling this directly leaves the queue's live-event count stale
-            unless paired with :meth:`EventQueue.note_cancellation`.  Use
-            :meth:`EventQueue.cancel`, which does both in one call.
-        """
-        warnings.warn(
-            "Event.cancel() (paired with EventQueue.note_cancellation()) is "
-            "deprecated; use EventQueue.cancel(event) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.cancelled = True
 
 
 class EventQueue:
@@ -421,28 +404,6 @@ class EventQueue:
         if not heap:
             return None
         return heap[0][0]
-
-    def note_cancellation(self) -> None:
-        """Inform the queue that one previously scheduled event was cancelled.
-
-        .. deprecated::
-            The split ``Event.cancel()`` + ``note_cancellation()`` protocol is
-            error-prone (forgetting either half corrupts ``len(queue)``).  Use
-            :meth:`cancel`, which does both atomically.
-        """
-        warnings.warn(
-            "EventQueue.note_cancellation() (paired with Event.cancel()) is "
-            "deprecated; use EventQueue.cancel(event) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._live == 0:
-            raise SchedulingError(
-                "note_cancellation() without a matching live event would drive "
-                "the queue's live-event count negative; was Event.cancel() "
-                "called for an event this queue never scheduled?"
-            )
-        self._live -= 1
 
 
 def _discarded(*args: object) -> None:  # pragma: no cover - never dispatched

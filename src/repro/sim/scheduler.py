@@ -33,14 +33,6 @@ _CRASH_PRIORITY = 5
 
 _DEFAULT_MAX_EVENTS = 5_000_000
 
-#: When set to a list, every completed :meth:`Simulation.run` appends the
-#: queue's integer digest to it.  This is the capture point digest manifests
-#: use to harvest per-run digests *inside worker processes* (where a parent
-#: monkeypatch never arrives under the ``spawn`` start method); see
-#: ``repro.runtime.engine.run_with_digest_capture``.  ``None`` (the default)
-#: keeps the hot path free of any bookkeeping beyond one global read per run.
-DIGEST_SINK: list[int] | None = None
-
 
 class Simulation:
     """One executable run of a :class:`~repro.sim.system.System`."""
@@ -167,8 +159,6 @@ class Simulation:
         self.start()
         if stop_when is not None and stop_when(self):
             self.trace.mark_end(self.clock.now)
-            if DIGEST_SINK is not None:
-                DIGEST_SINK.append(self.queue.digest)
             return self.trace
         stopped_early = False
         queue = self.queue
@@ -200,8 +190,6 @@ class Simulation:
             # run formally covers the whole interval up to ``until``.
             self.clock.advance_to(until)
         self.trace.mark_end(self.clock.now)
-        if DIGEST_SINK is not None:
-            DIGEST_SINK.append(self.queue.digest)
         return self.trace
 
     # ------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .linearizability import (
 )
 from .metrics import kv_metrics, percentile
 from .replica import ReplicatedKVProgram
-from .runner import execute_kv_spec
+from .runner import measure_kv_spec
 
 __all__ = [
     "ApplyResult",
@@ -52,8 +52,8 @@ __all__ = [
     "check_kv_linearizable",
     "decode_command",
     "encode_command",
-    "execute_kv_spec",
     "history_from_trace",
     "kv_metrics",
+    "measure_kv_spec",
     "percentile",
 ]

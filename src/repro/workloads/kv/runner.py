@@ -1,7 +1,7 @@
 """Materialise and execute a KV scenario spec (the engine's KV branch).
 
-:func:`execute_kv_spec` mirrors :func:`repro.runtime.engine.execute_spec` for
-specs with a ``kv`` section: the scenario's membership becomes the *replica
+:func:`measure_kv_spec` is the engine's worker-side entry for specs with a
+``kv`` section: the scenario's membership becomes the *replica
 group* (homonymy, crash schedule, and the chosen algorithm's assumptions all
 judged against it), and ``kv.clients`` uniquely-named client processes are
 appended to the simulated system.  Replicas and clients share one event
@@ -32,7 +32,7 @@ from .clients import ClientLoad, KVClientProgram
 from .metrics import kv_metrics
 from .replica import ReplicatedKVProgram
 
-__all__ = ["execute_kv_spec"]
+__all__ = ["measure_kv_spec"]
 
 
 class _RegistryConsensusFactory:
@@ -73,9 +73,8 @@ class _ReplicaScopedDetector:
         return self._factory(scoped)
 
 
-def execute_kv_spec(spec) -> "Any":
-    """Run one KV scenario and return its :class:`~repro.runtime.engine.RunRecord`."""
-    from ...runtime.engine import RunRecord
+def measure_kv_spec(spec) -> tuple[dict, str]:
+    """Run one KV scenario and return ``(metrics, digest)`` for its record."""
     from ...runtime.registry import CHECKS, DETECTORS
 
     kv = spec.kv
@@ -154,10 +153,4 @@ def execute_kv_spec(spec) -> "Any":
         result = CHECKS.resolve(check)(trace, pattern)
         metrics[f"{check}_ok"] = result.ok
         metrics[f"{check}_time"] = result.stabilization_time
-    return RunRecord(
-        scenario=spec.name,
-        seed=spec.seed,
-        config=spec.to_dict(),
-        metrics=metrics,
-        digest=simulation.digest,
-    )
+    return metrics, simulation.digest

@@ -65,15 +65,27 @@ def run_probe_system(
     return simulation, trace
 
 
-def poison_run_one(config: dict) -> dict:
-    """Chaos-test workload: a poison config kills the whole worker process.
+def poison_spec(config: dict):
+    """Fabric-test workload: a tiny E1 run, or — for a poison config — a spec
+    that fails its worker every time.
 
-    ``os._exit`` (not an exception) models the real failure the coordinator's
-    bisection exists for — a config that segfaults or OOMs the interpreter,
-    where no amount of in-process error handling can help.
+    The poison spec names a program no worker has registered, so executing
+    it raises, the worker reports the error and exits, and the coordinator
+    handles it exactly like a worker that segfaulted or was OOM-killed: the
+    failure follows the item through every retry, which is what the
+    coordinator's bisection and quarantine exist for.
     """
-    import os
+    from repro.experiments.e1_ohp_convergence import make_spec
+    from repro.runtime import MembershipSpec, ScenarioSpec
 
     if config.get("poison"):
-        os._exit(23)
-    return {"value": config["x"] * 2, "x": config["x"]}
+        return ScenarioSpec(
+            membership=MembershipSpec("unique", n=2),
+            program="no-such-program",
+            seed=config["seed"],
+            name="poison",
+        )
+    return make_spec(
+        {"n": 3, "distinct_ids": 1, "gst": 2.0, "delta": 0.5, "fixed_timeout": False,
+         "seed": config["seed"]}
+    )

@@ -18,7 +18,7 @@ import pytest
 from repro.chaos import CampaignReport, FaultPlan, run_campaign
 from repro.chaos.campaign import corrupt_cache_entries, mutilate_journal
 from repro.errors import ConfigurationError
-from repro.fabric import plan_sweep
+from repro.fabric import plan_grid
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.work import ItemResult
 from repro.runtime.cache import RunCache
@@ -27,6 +27,8 @@ from repro.transport.orchestrator import (
     DEFAULT_READY_TIMEOUT,
     resolve_timeouts,
 )
+
+from .helpers import poison_spec
 
 
 # -- FaultPlan: one seed determines everything ------------------------------
@@ -72,18 +74,14 @@ def test_fault_plan_injection_list_reflects_the_toggles() -> None:
 
 def _journal_fixture(tmp_path):
     """A frozen 4-item plan plus one shard journal holding all 4 results."""
-    plan = plan_sweep(
-        "tests.helpers.poison_run_one",
-        [{"x": index} for index in range(4)],
-        name="mutilate",
-    )
+    plan = plan_grid([(poison_spec, [{"seed": index} for index in range(4)])], name="mutilate")
     state = tmp_path / "state"
     coordinator = Coordinator(plan, state_dir=state, workers=1)
     shards = coordinator.shards_dir
     shards.mkdir(parents=True, exist_ok=True)
     with open(shards / "chunk000.jsonl", "w", encoding="utf-8") as handle:
         for item in plan.items:
-            result = ItemResult(index=item.index, key=item.key, row={"x": item.index})
+            result = ItemResult(index=item.index, key=item.key, row={"seed": item.index})
             handle.write(json.dumps(result.to_dict()) + "\n")
     return coordinator, shards
 

@@ -7,17 +7,46 @@ import random
 
 import pytest
 
+from repro.context import ProcessProgram
+from repro.detectors import CheckResult
 from repro.fabric import adaptive_sweep, confidence_interval
 from repro.fabric.adaptive import NORMAL_MIN_SAMPLES, AdaptiveError
+from repro.runtime import register_check, register_program, scenario
 
 
 # A deterministic "noisy metric": mean `loc`, spread `scale`, reproducible
-# from the seed alone.  Module-level so Engine.sweep treats it like any other
-# sweep function.
-def noisy_metric(config: dict) -> dict:
-    rng = random.Random(config["seed"])
-    value = config["loc"] + config["scale"] * (rng.random() - 0.5)
-    return {"value": value}
+# from the seed alone.  A one-process program records the draw and a check
+# publishes it, so every sample is an ordinary spec run (metric
+# ``noisy_value``) that adaptive_sweep dispatches through Engine.run_sweep.
+class _NoisyProgram(ProcessProgram):
+    def __init__(self, *, loc: float, scale: float, draw_seed: int) -> None:
+        rng = random.Random(draw_seed)
+        self.value = loc + scale * (rng.random() - 0.5)
+
+    def setup(self, ctx) -> None:
+        ctx.record("noisy.value", self.value)
+
+
+def _check_noisy(trace, pattern) -> CheckResult:
+    (process,) = pattern.correct
+    value = trace.final_value(process, "noisy.value")
+    return CheckResult(ok=True, details={"metrics": {"value": value}})
+
+
+register_program("noisy", lambda params: _NoisyProgram(**params), overwrite=True)
+register_check("noisy", _check_noisy, overwrite=True)
+
+
+def noisy_spec(config: dict):
+    return (
+        scenario("noisy")
+        .processes(1)
+        .program("noisy", loc=config["loc"], scale=config["scale"], draw_seed=config["seed"])
+        .check("noisy")
+        .horizon(1.0)
+        .seed(config["seed"])
+        .build()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +94,7 @@ def test_ci_rejects_bad_arguments() -> None:
 def test_adaptive_stops_early_and_keeps_medians_inside_ci() -> None:
     cells = [{"loc": 10.0, "scale": 0.1}, {"loc": 20.0, "scale": 0.2}]
     report = adaptive_sweep(
-        noisy_metric, cells, metric="value", max_seeds_per_cell=32, rel_tol=0.05
+        noisy_spec, cells, metric="noisy_value", max_seeds_per_cell=32, rel_tol=0.05
     )
     assert report.all_converged
     assert report.total_runs < report.fixed_grid_runs  # demonstrably saves work
@@ -80,9 +109,9 @@ def test_adaptive_stops_early_and_keeps_medians_inside_ci() -> None:
 def test_adaptive_reallocates_budget_to_noisy_cells() -> None:
     cells = [{"loc": 10.0, "scale": 0.01}, {"loc": 10.0, "scale": 8.0}]
     report = adaptive_sweep(
-        noisy_metric,
+        noisy_spec,
         cells,
-        metric="value",
+        metric="noisy_value",
         max_seeds_per_cell=64,
         abs_tol=0.5,
         budget=40,
@@ -95,9 +124,9 @@ def test_adaptive_reallocates_budget_to_noisy_cells() -> None:
 
 def test_adaptive_runs_are_reproducible() -> None:
     cells = [{"loc": 5.0, "scale": 1.0}, {"loc": 7.0, "scale": 2.0}]
-    kwargs = dict(metric="value", max_seeds_per_cell=16, rel_tol=0.1, base_seed=11)
-    first = adaptive_sweep(noisy_metric, cells, **kwargs)
-    second = adaptive_sweep(noisy_metric, cells, **kwargs)
+    kwargs = dict(metric="noisy_value", max_seeds_per_cell=16, rel_tol=0.1, base_seed=11)
+    first = adaptive_sweep(noisy_spec, cells, **kwargs)
+    second = adaptive_sweep(noisy_spec, cells, **kwargs)
     assert first.summary() == second.summary()
     assert first.rows == second.rows
     # convergence order cannot perturb a cell's seed sequence
@@ -108,7 +137,7 @@ def test_adaptive_runs_are_reproducible() -> None:
 def test_adaptive_budget_exhaustion_reports_unconverged_cells() -> None:
     cells = [{"loc": 0.0, "scale": 50.0}]
     report = adaptive_sweep(
-        noisy_metric, cells, metric="value", max_seeds_per_cell=8, abs_tol=1e-9
+        noisy_spec, cells, metric="noisy_value", max_seeds_per_cell=8, abs_tol=1e-9
     )
     assert report.total_runs == 8  # grid cap reached
     assert not report.all_converged
@@ -117,16 +146,16 @@ def test_adaptive_budget_exhaustion_reports_unconverged_cells() -> None:
 
 def test_adaptive_rejects_bad_configurations() -> None:
     with pytest.raises(AdaptiveError, match="abs_tol"):
-        adaptive_sweep(noisy_metric, [{"loc": 1.0, "scale": 1.0}], metric="value")
+        adaptive_sweep(noisy_spec, [{"loc": 1.0, "scale": 1.0}], metric="noisy_value")
     with pytest.raises(AdaptiveError, match="seed"):
         adaptive_sweep(
-            noisy_metric, [{"loc": 1.0, "seed": 3}], metric="value", abs_tol=1.0
+            noisy_spec, [{"loc": 1.0, "seed": 3}], metric="noisy_value", abs_tol=1.0
         )
     with pytest.raises(AdaptiveError, match="no cells"):
-        adaptive_sweep(noisy_metric, [], metric="value", abs_tol=1.0)
+        adaptive_sweep(noisy_spec, [], metric="noisy_value", abs_tol=1.0)
     with pytest.raises(AdaptiveError, match="missing or non-numeric"):
         adaptive_sweep(
-            noisy_metric,
+            noisy_spec,
             [{"loc": 1.0, "scale": 1.0}],
             metric="no_such_metric",
             abs_tol=1.0,

@@ -1,8 +1,8 @@
 """The fabric coordinator: determinism, cache interplay, crashes, resume.
 
 These tests spawn real worker subprocesses (``python -m repro.fabric
-worker``), so they use the smallest plan that still exercises every path: a
-raw 8-item sweep of E1's ``_run_one`` at n=3 (a few ms per run).
+worker``), so they use the smallest plan that still exercises every path: an
+8-spec grid of E1's ``make_spec`` at n=3 (a few ms per run).
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.runner import ParameterSweep
-from repro.experiments.e1_ohp_convergence import _run_one as run_one_e1
-from repro.fabric import execute_item, plan_experiments, plan_sweep
+from repro.experiments.e1_ohp_convergence import make_spec as e1_spec
+from repro.fabric import execute_item, plan_experiments, plan_grid
 from repro.fabric.coordinator import Coordinator, FabricError, SimulatedCrash
-from repro.runtime import Engine
+from repro.runtime import Engine, ScenarioSpec
 from repro.runtime.cache import RunCache
+
+from .helpers import poison_spec
 
 
 @pytest.fixture
@@ -33,7 +35,7 @@ def tiny_plan():
         repetitions=2,
         base_seed=0,
     )
-    return plan_sweep(run_one_e1, sweep, name="tiny")
+    return plan_grid([(e1_spec, sweep)], name="tiny")
 
 
 def _merged_bytes(result) -> bytes:
@@ -41,17 +43,17 @@ def _merged_bytes(result) -> bytes:
 
 
 def test_coordinator_merges_in_input_order(tiny_plan, tmp_path) -> None:
-    """Sharded output must equal the serial engine's, row for row — and be
-    identical across worker counts."""
-    serial_rows = Engine().sweep(run_one_e1, [dict(i.payload["config"]) for i in tiny_plan.items])
+    """Sharded output must equal the serial engine's, record for record — and
+    be identical across worker counts."""
+    specs = [ScenarioSpec.from_dict(item.spec) for item in tiny_plan.items]
+    serial_jsonl = tmp_path / "serial.jsonl"
+    Engine(jsonl_path=str(serial_jsonl)).run_many(specs)
     one = Coordinator(tiny_plan, state_dir=tmp_path / "w1", workers=1).run()
     three = Coordinator(tiny_plan, state_dir=tmp_path / "w3", workers=3).run()
-    canonical = [json.loads(json.dumps(row, sort_keys=True, default=str)) for row in serial_rows]
-    assert one.rows == canonical
-    assert three.rows == canonical
-    assert _merged_bytes(one) == _merged_bytes(three)
+    assert _merged_bytes(one) == serial_jsonl.read_bytes()
+    assert _merged_bytes(three) == serial_jsonl.read_bytes()
     assert one.stats["fresh"] == len(tiny_plan)
-    assert one.digests_complete
+    assert all(row["digest"] for row in one.rows)
     assert one.experiment_digests() == three.experiment_digests()
 
 
@@ -100,7 +102,7 @@ def test_coordinator_ignores_torn_and_foreign_journal_lines(tiny_plan, tmp_path)
         handle.write('{"index": 2, "row": {"tru')  # torn tail
     resumed = Coordinator(None, state_dir=state, workers=1).run()
     assert len(resumed.results) == len(tiny_plan)
-    assert resumed.digests_complete
+    assert all(result.row["digest"] for result in resumed.results)
 
 
 def test_state_dir_is_bound_to_one_plan(tiny_plan, tmp_path) -> None:
@@ -123,30 +125,28 @@ def test_shared_cache_serves_resumed_runs(tiny_plan, tmp_path) -> None:
     second = Coordinator(
         tiny_plan, state_dir=tmp_path / "b", workers=2, cache=cache
     ).run()
-    assert second.stats["fabric_cache"] == len(tiny_plan)
+    assert second.stats["run_cache"] == len(tiny_plan)
     assert second.stats["fresh"] == 0
     assert _merged_bytes(second) == _merged_bytes(first)
     assert second.experiment_digests() == first.experiment_digests()
-    assert second.digests_complete
 
 
 def test_execute_item_cache_levels(tiny_plan, tmp_path) -> None:
-    """In-process item execution: fresh → fabric-cache, and a plain engine
-    entry (no digest record) is honoured but marked digest-incomplete."""
+    """In-process item execution: fresh → run-cache, and an engine-populated
+    cache entry is the very same record, digest included."""
     cache = RunCache(tmp_path / "cache")
     item = tiny_plan.items[0]
     fresh = execute_item(item, cache)
-    assert fresh.source == "fresh" and fresh.digests and fresh.digests_complete
+    assert fresh.source == "fresh" and fresh.row["digest"]
     again = execute_item(item, cache)
-    assert again.source == "fabric-cache"
-    assert again.row == fresh.row and again.digests == fresh.digests
-    # simulate an engine-populated cache: plain entry only, no fab envelope
-    other = RunCache(tmp_path / "plain")
-    other.put(item.key, dict(run_one_e1(dict(item.payload["config"]))))
-    plain = execute_item(item, other)
-    assert plain.source == "run-cache"
-    assert plain.row == fresh.row
-    assert not plain.digests_complete
+    assert again.source == "run-cache"
+    assert again.row == fresh.row and again.digest == fresh.digest
+    # one cache entry = one RunRecord: an ordinary engine run fills it too
+    other = RunCache(tmp_path / "engine")
+    Engine(cache=other).run(ScenarioSpec.from_dict(item.spec))
+    served = execute_item(item, other)
+    assert served.source == "run-cache"
+    assert served.row == fresh.row
 
 
 def test_experiments_cli_shard_concatenation(tmp_path) -> None:
@@ -161,6 +161,23 @@ def test_experiments_cli_shard_concatenation(tmp_path) -> None:
         assert main(["E1", "--shard", f"{index}/3", "--jsonl", str(shard)]) == 0
         pieces.append(shard.read_bytes())
     assert b"".join(pieces) == serial.read_bytes()
+
+
+def test_fabric_merge_of_e1_and_e3_equals_serial_jsonl(tmp_path) -> None:
+    """E1 (a raw sweep before specs) and E3 (once an ``Engine.map``) plan as
+    spec grids like everything else: the fabric's merged JSONL is the serial
+    CLI's ``--jsonl`` byte for byte, one record with a digest per line."""
+    from repro.experiments.__main__ import main
+
+    serial = tmp_path / "serial.jsonl"
+    assert main(["E1", "E3", "--jsonl", str(serial), "-o", str(tmp_path / "r.txt")]) == 0
+    plan = plan_experiments(["E1", "E3"], quick=True, seed=0)
+    result = Coordinator(plan, state_dir=tmp_path / "state", workers=2).run()
+    assert _merged_bytes(result) == serial.read_bytes()
+    lines = [json.loads(line) for line in serial.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == len(plan) == 13 + 7
+    assert all(set(line) == {"scenario", "seed", "config", "metrics", "digest"} for line in lines)
+    assert all(line["digest"] for line in lines)
 
 
 def test_stalled_worker_is_detected_and_the_run_converges(tiny_plan, tmp_path) -> None:
@@ -183,10 +200,9 @@ def test_stalled_worker_is_detected_and_the_run_converges(tiny_plan, tmp_path) -
 
 
 def _poison_plan():
-    """4 sweep items; the config at index 1 os._exit()s the whole worker."""
-    return plan_sweep(
-        "tests.helpers.poison_run_one",
-        [{"x": index, "poison": index == 1} for index in range(4)],
+    """4 spec items; the one at index 1 fails its worker every time."""
+    return plan_grid(
+        [(poison_spec, [{"seed": index, "poison": index == 1} for index in range(4)])],
         name="poison",
     )
 
@@ -224,8 +240,8 @@ def test_poison_item_is_bisected_quarantined_and_reported(tmp_path) -> None:
     assert sorted(resumed.quarantined) == [1]
     assert resumed.stats["quarantined"] == 1
     rows = [json.loads(line) for line in _merged_bytes(resumed).decode().splitlines()]
-    assert [row["x"] for row in rows] == [0, 2, 3]
-    assert [row["value"] for row in rows] == [0, 4, 6]
+    assert [row["seed"] for row in rows] == [0, 2, 3]
+    assert all(row["digest"] for row in rows)
 
 
 def test_bisection_rescues_innocent_chunk_mates(tmp_path) -> None:
@@ -264,7 +280,7 @@ def test_resume_survives_torn_tail_and_interleaved_foreign_lines(tiny_plan, tmp_
         doctored.append(line)
         doctored.append("this is not even JSON\n")
         doctored.append('{"index": 0, "unrelated": true}\n')
-        doctored.append('{"index": 0, "key": "row-0000000000000000", "row": {}}\n')
+        doctored.append('{"index": 0, "key": "rec-0000000000000000", "row": {}}\n')
     doctored.append(lines[-1][: len(lines[-1]) // 2])  # torn mid-line, no newline
     victim.write_text("".join(doctored), encoding="utf-8")
 

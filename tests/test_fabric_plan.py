@@ -9,9 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.runner import ParameterSweep, shard_bounds, shard_items
-from repro.experiments.e1_ohp_convergence import _run_one as run_one_e1
-from repro.fabric import FabricPlan, plan_experiments, plan_sweep
-from repro.fabric.plan import PlanningEngine, PlanningError, WorkItem
+from repro.experiments.e1_ohp_convergence import grid as e1_grid
+from repro.experiments.e1_ohp_convergence import make_spec as e1_spec
+from repro.fabric import FabricPlan, plan_experiments, plan_grid
+from repro.fabric.plan import PlanningError, WorkItem
 from repro.runtime.cache import RunCache
 from repro.runtime.spec import ScenarioSpec
 
@@ -65,18 +66,18 @@ def test_parameter_sweep_slice(repetitions: int, shards: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# PlanningEngine / plan_experiments
+# plan_grid / plan_experiments
 # ---------------------------------------------------------------------------
 def test_plan_e1_matches_serial_dispatch() -> None:
-    """Quick E1 dispatches 12 sweep configs + 1 ablation = 13 items, keyed
-    exactly as the run cache keys a live engine's dispatch."""
+    """Quick E1 declares 12 sweep configs + 1 ablation = 13 specs, in the
+    engine's order and keyed exactly as the run cache keys them."""
     plan = plan_experiments(["E1"], quick=True, seed=0)
     assert len(plan) == 13
     assert plan.experiments == ("E1",)
     assert [item.index for item in plan.items] == list(range(13))
-    assert all(item.kind == "sweep" for item in plan.items)
-    first = plan.items[0]
-    assert first.key == RunCache.outcome_key(run_one_e1, first.payload["config"])
+    specs = [e1_spec(dict(config)) for _, sweep in e1_grid(True, 0) for config in sweep]
+    assert [ScenarioSpec.from_dict(item.spec) for item in plan.items] == specs
+    assert [item.key for item in plan.items] == [RunCache.record_key(spec) for spec in specs]
 
 
 def test_full_deterministic_plan_shape() -> None:
@@ -88,10 +89,7 @@ def test_full_deterministic_plan_shape() -> None:
     assert set(spans) == set(names)
     covered = sorted(index for start, end in spans.values() for index in range(start, end))
     assert covered == list(range(len(plan)))
-    kinds = {name: {plan.items[i].kind for i in range(*spans[name])} for name in names}
-    assert kinds["E3"] == {"map"}
-    assert kinds["E10"] == {"spec"}
-    assert kinds["E1"] == {"sweep"}
+    assert all(item.key.startswith("rec-") for item in plan.items)
 
 
 def test_plan_is_deterministic_and_json_round_trips(tmp_path) -> None:
@@ -118,15 +116,15 @@ def test_plan_chunks_concatenate_in_order(tmp_path) -> None:
     assert [item.to_dict() for item in loaded] == [item.to_dict() for item in plan.items]
 
 
-def test_plan_unknown_experiment_and_lambda_are_rejected() -> None:
+def test_plan_unknown_and_wallclock_experiments_are_rejected() -> None:
     with pytest.raises(PlanningError, match="unknown experiment"):
         plan_experiments(["E99"])
-    with pytest.raises(PlanningError, match="module-level"):
-        plan_sweep(lambda config: {}, [{"seed": 0}])
+    with pytest.raises(PlanningError, match="no spec grid"):
+        plan_experiments(["E11"])
 
 
 def test_planning_engine_rejects_real_backend_specs() -> None:
-    engine = PlanningEngine()
+    """The planner (plan_grid) refuses wall-clock specs: no digest to fold."""
     spec = ScenarioSpec.from_dict(
         {
             "name": "real",
@@ -136,15 +134,22 @@ def test_planning_engine_rejects_real_backend_specs() -> None:
         }
     )
     with pytest.raises(PlanningError, match="non-sim"):
-        engine.run(spec)
+        plan_grid([(lambda config: spec, [{"seed": 0}])])
 
 
 def test_plan_sweep_over_raw_parameter_sweep() -> None:
-    sweep = ParameterSweep({"n": [3, 4], "delta": [1.0]}, repetitions=2, base_seed=0)
-    plan = plan_sweep(run_one_e1, sweep, name="raw")
+    """A raw ParameterSweep plans through plan_grid like any experiment grid."""
+    sweep = ParameterSweep(
+        {"n": [3, 4], "distinct_ids": [1], "gst": [2.0], "delta": [1.0],
+         "fixed_timeout": [False]},
+        repetitions=2,
+        base_seed=0,
+    )
+    plan = plan_grid([(e1_spec, sweep)], name="raw")
     assert len(plan) == 4
     assert plan.experiments == ("raw",)
-    assert all(item.payload["fn"].endswith("._run_one") for item in plan.items)
-    # planning from the dotted name gives the identical plan
-    named = plan_sweep(plan.items[0].payload["fn"], sweep, name="raw")
-    assert named.to_dict() == plan.to_dict()
+    assert [item.spec["seed"] for item in plan.items] == [0, 1, 2, 3]
+    assert all(item.experiment == "raw" for item in plan.items)
+    # the manifest carries the spec losslessly (crash times keep int keys)
+    assert all(ScenarioSpec.from_dict(item.spec) == e1_spec(dict(config))
+               for item, config in zip(plan.items, sweep))

@@ -7,11 +7,8 @@ import json
 import pytest
 
 from repro.analysis.runner import ParameterSweep
-from repro.experiments.common import run_consensus_once
-from repro.membership import grouped_identities
 from repro.runtime import (
     Engine,
-    ParallelExecutor,
     RunRecord,
     ScenarioSpec,
     SerialExecutor,
@@ -22,7 +19,6 @@ from repro.runtime import (
     minority,
     scenario,
 )
-from repro.workloads.crashes import minority_crashes
 
 
 def small_spec(seed: int = 0) -> ScenarioSpec:
@@ -48,16 +44,16 @@ class TestExecutors:
         assert isinstance(executor_for(None), SerialExecutor)
         assert isinstance(executor_for(1), SerialExecutor)
         assert isinstance(executor_for(2), WorkerPool)
-        assert isinstance(executor_for(2, pool="cold"), ParallelExecutor)
-        assert isinstance(executor_for(1, pool="cold"), SerialExecutor)
+        assert isinstance(executor_for(2, chunk_multiplier=1), WorkerPool)
 
     def test_parallel_executor_rejects_nonpositive_jobs(self):
         with pytest.raises(Exception):
-            ParallelExecutor(0)
+            WorkerPool(0)
 
     def test_parallel_map_preserves_input_order(self):
         items = [{"x": value} for value in range(20)]
-        results = ParallelExecutor(2).map(_double, items)
+        with WorkerPool(2) as pool:
+            results = pool.map(_double, items)
         assert [row["doubled"] for row in results] == [2 * value for value in range(20)]
 
 
@@ -70,11 +66,13 @@ class TestEngine:
         assert all(record.metrics["safe"] for record in serial)
 
     def test_sweep_rows_identical_serial_vs_parallel(self):
-        sweep = ParameterSweep({"x": [1, 2, 3, 4]}, repetitions=2)
-        serial_rows = Engine().sweep(_double, sweep)
-        parallel_rows = Engine(jobs=2).sweep(_double, sweep)
+        sweep = ParameterSweep({"n": [4]}, repetitions=4)
+        make = lambda config: small_spec(config["seed"])  # noqa: E731
+        serial_rows = Engine().run_sweep(make, sweep)
+        with Engine(jobs=2) as engine:
+            parallel_rows = engine.run_sweep(make, sweep)
         assert serial_rows == parallel_rows
-        assert serial_rows[0] == {"x": 1, "seed": 0, "doubled": 2}
+        assert serial_rows[0]["n"] == 4 and serial_rows[0]["seed"] == 0
         assert "repetition" not in serial_rows[0]
 
     def test_run_sweep_builds_specs_from_configs(self):
@@ -97,6 +95,36 @@ class TestEngine:
             Engine(SerialExecutor(), jobs=2)
 
 
+class TestRecordSerialisation:
+    """The parent builds a record's config once, and a record dict only for a sink."""
+
+    @staticmethod
+    def _count_to_dict(monkeypatch) -> dict:
+        calls = {"record": 0, "spec": 0}
+        for key, owner in (("record", RunRecord), ("spec", ScenarioSpec)):
+            original = owner.to_dict
+
+            def counting(self, _original=original, _key=key):
+                calls[_key] += 1
+                return _original(self)
+
+            monkeypatch.setattr(owner, "to_dict", counting)
+        return calls
+
+    def test_no_sink_no_record_dicts(self, monkeypatch):
+        specs = [small_spec(seed) for seed in range(3)]
+        calls = self._count_to_dict(monkeypatch)
+        records = Engine().run_many(specs)
+        assert calls == {"record": 0, "spec": len(specs)}
+        assert [record.config for record in records] == [spec.to_dict() for spec in specs]
+
+    def test_a_sink_gets_one_record_dict_per_run(self, monkeypatch, tmp_path):
+        specs = [small_spec(seed) for seed in range(3)]
+        calls = self._count_to_dict(monkeypatch)
+        Engine(jsonl_path=str(tmp_path / "runs.jsonl")).run_many(specs)
+        assert calls == {"record": len(specs), "spec": len(specs)}
+
+
 class TestRunRecord:
     def test_round_trip(self):
         record = execute_spec(small_spec(3))
@@ -109,36 +137,6 @@ class TestRunRecord:
             scenario="s", seed=1, config={"n": 5, "nested": {"drop": 1}}, metrics={"ok": True}
         )
         assert record.row() == {"n": 5, "ok": True}
-
-
-class TestLegacyShim:
-    def test_run_consensus_once_matches_engine_record(self):
-        membership = grouped_identities([2, 1, 1])
-        crash_schedule = minority_crashes(membership, at=6.0, count=1)
-        from repro.consensus import HOmegaMajorityConsensus
-
-        with pytest.deprecated_call():
-            row = run_consensus_once(
-                membership,
-                lambda proposal: HOmegaMajorityConsensus(proposal, n=membership.size),
-                crash_schedule=crash_schedule,
-                detector_stabilization=10.0,
-                horizon=300.0,
-                seed=0,
-            )
-        # The declarative equivalent of the legacy call must measure the same run.
-        spec = (
-            scenario("legacy-equivalent")
-            .homonyms([2, 1, 1])
-            .crashes(minority(at=6.0, count=1))
-            .detectors("HOmega", "HSigma", stabilization=10.0)
-            .consensus("homega_majority")
-            .horizon(300.0)
-            .seed(0)
-            .build()
-        )
-        record = execute_spec(spec)
-        assert row == dict(record.metrics)
 
 
 class TestParameterSweepPolish:
@@ -169,4 +167,5 @@ class TestParameterSweepPolish:
 
     def test_run_with_executor_matches_plain_run(self):
         sweep = ParameterSweep({"x": [1, 2, 3]}, repetitions=2)
-        assert sweep.run(_double) == sweep.run(_double, executor=ParallelExecutor(2))
+        with WorkerPool(2) as pool:
+            assert sweep.run(_double) == sweep.run(_double, executor=pool)

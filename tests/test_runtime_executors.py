@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.runtime import (
     Engine,
-    ParallelExecutor,
     RunCache,
     ScenarioSpec,
     SerialExecutor,
@@ -19,7 +18,6 @@ from repro.runtime import (
     canonical_spec_hash,
     executor_for,
     minority,
-    run_with_digest_capture,
     scenario,
 )
 from repro.runtime.executors import describe_item
@@ -93,11 +91,7 @@ class TestValidationBoundaries:
         with pytest.raises(ConfigurationError):
             WorkerPool(2, chunk_multiplier=0)
         with pytest.raises(ConfigurationError):
-            ParallelExecutor(2, chunk_multiplier=0)
-        with pytest.raises(ConfigurationError):
             executor_for(2, chunk_multiplier=0)
-        with pytest.raises(ConfigurationError):
-            executor_for(4, pool="lukewarm")
         with pytest.raises(ConfigurationError):
             WorkerPool(jobs=0)
 
@@ -113,26 +107,17 @@ class TestValidationBoundaries:
             Engine(SerialExecutor(), chunk_multiplier=2)
         with pytest.raises(ValueError):
             Engine(SerialExecutor(), jobs=2)
-        with pytest.raises(ValueError):
-            Engine(SerialExecutor(), pool="cold")  # would be silently ignored
 
 
 class TestDigestEquivalence:
-    def test_serial_warm_and_cold_records_are_identical(self):
+    def test_serial_and_warm_records_are_identical(self):
         specs = [small_spec(seed) for seed in range(5)]
         serial = Engine().run_many(specs)
         with Engine(jobs=2) as warm_engine:
             warm = warm_engine.run_many(specs)
-        cold = Engine(executor_for(2, pool="cold")).run_many(specs)
         assert [r.digest for r in serial] == [r.digest for r in warm]
-        assert [r.digest for r in serial] == [r.digest for r in cold]
-        assert serial == warm == cold
-
-    def test_run_with_digest_capture_returns_run_digests(self):
-        from repro.runtime.engine import execute_spec
-
-        record, digests = run_with_digest_capture((execute_spec, small_spec(2)))
-        assert [f"{d:016x}" for d in digests] == [record.digest]
+        assert all(r.digest for r in serial)
+        assert serial == warm
 
 
 class TestStreaming:
@@ -146,9 +131,10 @@ class TestStreaming:
     def test_stream_is_lazy_and_jsonl_flushes_incrementally(self, tmp_path):
         log = tmp_path / "runs.jsonl"
         engine = Engine(jsonl_path=str(log))
-        rows = engine.sweep(_double, [{"x": i, "seed": i} for i in range(4)], stream=True)
+        configs = [{"x": i, "seed": i} for i in range(4)]
+        rows = engine.run_sweep(lambda c: small_spec(c["seed"]), configs, stream=True)
         first = next(rows)
-        assert first == {"x": 0, "seed": 0, "doubled": 0}
+        assert first["x"] == 0 and first["seed"] == 0 and first["safe"]
         # Only the consumed row has been computed and logged so far.
         assert len(log.read_text().splitlines()) == 1
         rest = list(rows)
@@ -158,8 +144,9 @@ class TestStreaming:
     def test_progress_hook_sees_every_payload_in_order(self):
         seen: list[dict] = []
         engine = Engine(progress=seen.append)
-        engine.sweep(_double, [{"x": i, "seed": i} for i in range(3)])
-        assert [payload["x"] for payload in seen] == [0, 1, 2]
+        engine.run_sweep(lambda c: small_spec(c["seed"]), [{"seed": i} for i in range(3)])
+        assert [payload["seed"] for payload in seen] == [0, 1, 2]
+        assert all(payload["digest"] for payload in seen)
 
 
 class TestRunCache:
@@ -185,17 +172,6 @@ class TestRunCache:
         assert canonical_spec_hash(small_spec(1)) == canonical_spec_hash(small_spec(2))
         assert RunCache.record_key(small_spec(1)) != RunCache.record_key(small_spec(2))
 
-    def test_sweep_outcomes_are_memoized_per_function_and_config(self, tmp_path):
-        configs = [{"x": i, "seed": i} for i in range(4)]
-        first = Engine(cache=str(tmp_path)).sweep(_double, configs)
-        engine = Engine(cache=str(tmp_path))
-        second = engine.sweep(_double, configs)
-        assert second == first
-        assert engine.cache.hits == len(configs)
-        # A different config is a different key.
-        engine.sweep(_double, [{"x": 99, "seed": 99}])
-        assert engine.cache.hits == len(configs)
-
     def test_corrupt_entry_is_a_miss_and_gets_rewritten(self, tmp_path):
         spec = small_spec(4)
         engine = Engine(cache=str(tmp_path))
@@ -206,20 +182,6 @@ class TestRunCache:
         record = fresh.run(spec)
         assert record.metrics["safe"]
         assert json.loads(path.read_text())["payload"]["digest"] == record.digest
-
-    def test_ambiguous_function_names_are_never_cached(self, tmp_path):
-        # Two different lambdas share the qualname "<lambda>" (and nested
-        # functions share "...<locals>..."): caching them would let one serve
-        # the other's rows.  They run fine — they just never hit the cache.
-        configs = [{"x": 2, "seed": 0}]
-        engine = Engine(cache=str(tmp_path))
-        first = engine.sweep(lambda c: {"y": c["x"] * 10}, configs)
-        second = engine.sweep(lambda c: {"y": c["x"] * 1000}, configs)
-        assert first == [{"x": 2, "seed": 0, "y": 20}]
-        assert second == [{"x": 2, "seed": 0, "y": 2000}]
-        assert engine.cache.hits == 0 and len(engine.cache) == 0
-        assert not RunCache.function_cacheable(lambda c: c)
-        assert RunCache.function_cacheable(_double)
 
     def test_unserializable_payloads_are_not_cached(self, tmp_path):
         cache = RunCache(tmp_path)
